@@ -79,8 +79,8 @@ def cmd_validate(args) -> int:
 def cmd_generate(args) -> int:
     started = time.monotonic()
     config = synth.SynthConfig.from_file(args.config) if args.config \
-        else synth.SynthConfig(seed=args.seed)
-    if args.config and args.seed is not None:
+        else synth.SynthConfig(seed=0)
+    if args.seed is not None:
         config = synth.SynthConfig(**{**config.__dict__, "seed": args.seed})
     events = synth.generate(config)
     write_events(events, args.out)
@@ -113,9 +113,9 @@ def cmd_features(args) -> int:
 
 def cmd_train(args) -> int:
     started = time.monotonic()
-    matrix = features.read_matrix_csv(args.features)
     config = svr.SvrConfig(C=args.C, gamma=args.gamma, epsilon=args.epsilon,
                            seed=args.seed)
+    matrix = features.read_matrix_csv(args.features)
     names = NETWORK_FEATURES if args.network_only else FEATURE_NAMES
     cols = [FEATURE_NAMES.index(n) for n in names]
     X = matrix.X[:, cols]
@@ -137,6 +137,9 @@ def cmd_train(args) -> int:
             "fold_r2": report.fold_r2, "fold_rmse": report.fold_rmse,
             "f_stats": report.f_stats, "features": list(names),
             "config": config.__dict__,
+            "fits": [{"iterations": d.iterations, "converged": d.converged,
+                      "kkt_gap": d.kkt_gap, "n_support": d.n_support}
+                     for d in report.fold_fits + [model.diagnostics]],
         }
         _atomic_write(args.report_out, json.dumps(doc, indent=2, sort_keys=True))
     _write_manifest(str(args.model_out) + ".manifest.json", "train",
@@ -197,7 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="write a synthetic event log")
     p.add_argument("out")
     p.add_argument("--config", default=None, help="JSON generator config")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="overrides the config's seed (default: the config's, else 0)")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("features", help="assemble the regression matrix")

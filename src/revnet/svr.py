@@ -37,12 +37,19 @@ class SvrConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("C", "gamma", "epsilon", "tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.C <= 0:
             raise ValueError("C must be positive")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
+        if self.max_passes < 1:
+            raise ValueError("max_passes must be at least 1")
 
 
 @dataclass
@@ -51,6 +58,7 @@ class FitDiagnostics:
     converged: bool
     kkt_gap: float
     train_beta: np.ndarray  # alpha - alpha* for every training row
+    n_support: int
 
 
 @dataclass
@@ -88,89 +96,84 @@ def _rbf(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
 def _solve_smo(K: np.ndarray, y: np.ndarray, config: SvrConfig):
     """SMO on the paired dual.  Returns (beta, bias, iters, converged, gap).
 
-    Internally tracks alpha and alpha* separately plus F = K beta.  The KKT
-    scores collapse to s = y - eps - F for the alpha side and s + 2 eps for
-    the alpha* side; both pair updates move beta_i by +t and beta_j by -t.
+    Works on the 2l variables a = (alpha, alpha*), kept as Python floats,
+    plus F = K beta.  The KKT scores are s = y - eps - F for the alpha half
+    and s + 2 eps for the alpha* half, both held in one length-2l vector; the
+    up/low membership masks over the 2l variables change only at the two
+    variables a step moves.  Pair updates move beta_i by +t and beta_j by -t.
     """
     l = len(y)
     C, eps, tol = config.C, config.epsilon, config.tol
-    alpha = np.zeros(l)
-    alpha_star = np.zeros(l)
-    F = np.zeros(l)
-    diag = np.ascontiguousarray(np.diag(K))
     two_eps = 2.0 * eps
     inf = np.inf
+    diag = np.ascontiguousarray(np.diag(K))
+    # WSS2 curvature a_ij = max(d_i + d_j - 2 K_ij, 1e-12) for every pair,
+    # formed once per fit rather than one row per iteration
+    A = diag[:, None] + diag[None, :]
+    A -= 2.0 * K
+    np.maximum(A, 1e-12, out=A)
+
+    y_eps = y - eps
+    F = np.zeros(l)
+    s = np.empty(2 * l)
+    s_p, s_m = s[:l], s[l:]
+    a = [0.0] * (2 * l)
+    up = np.arange(2 * l) < l  # alpha < C, alpha* > 0
+    low = ~up  # alpha > 0, alpha* < C
 
     iters = 0
     gap = inf
     while iters < config.max_passes:
-        sp = y - eps - F
-        up_p = np.where(alpha < C, sp, -inf)
-        up_m = np.where(alpha_star > 0, sp + two_eps, -inf)
-        ip = int(np.argmax(up_p))
-        im = int(np.argmax(up_m))
-        if up_m[im] > up_p[ip]:
-            i, m, side_i = im, up_m[im], -1
-        else:
-            i, m, side_i = ip, up_p[ip], 1
-
-        low_p = np.where(alpha > 0, sp, inf)
-        low_m = np.where(alpha_star < C, sp + two_eps, inf)
-        M = min(low_p.min(), low_m.min())
-        gap = m - M
+        np.subtract(y_eps, F, out=s_p)
+        np.add(s_p, two_eps, out=s_m)
+        up_s = np.where(up, s, -inf)
+        vi = int(up_s.argmax())
+        m = float(up_s[vi])
+        low_s = np.where(low, s, inf)
+        gap = m - float(low_s.min())
         if gap <= tol:
             break
 
         # second-order partner choice among violators (libsvm WSS2)
-        Ki = K[i]
-        a_t = np.maximum(diag[i] + diag - 2.0 * Ki, 1e-12)
-        b_p = m - low_p
-        b_m = m - low_m
-        obj_p = np.where(b_p > 0, -(b_p * b_p) / a_t, inf)
-        obj_m = np.where(b_m > 0, -(b_m * b_m) / a_t, inf)
-        jp = int(np.argmin(obj_p))
-        jm = int(np.argmin(obj_m))
-        if obj_m[jm] < obj_p[jp]:
-            j, score_j, side_j = jm, low_m[jm], -1
-        else:
-            j, score_j, side_j = jp, low_p[jp], 1
-        if not np.isfinite(score_j):
+        i = vi if vi < l else vi - l
+        b = (m - low_s).reshape(2, l)
+        obj = np.where(b > 0, b * b / A[i], -inf)
+        vj = int(obj.argmax())
+        score_j = float(low_s[vj])
+        if not math.isfinite(score_j):
             break
+        j = vj if vj < l else vj - l
 
-        quad = max(diag[i] + diag[j] - 2.0 * Ki[j], 1e-12)
-        t = (m - score_j) / quad
+        t = (m - score_j) / float(A[i, j])
         # clip so all four variables stay inside [0, C]
-        t = min(t, C - alpha[i] if side_i > 0 else alpha_star[i])
-        t = min(t, alpha[j] if side_j > 0 else C - alpha_star[j])
+        t = min(t, C - a[vi] if vi < l else a[vi])
+        t = min(t, a[vj] if vj < l else C - a[vj])
         if t <= 0:
             break
-        if side_i > 0:
-            alpha[i] += t
-        else:
-            alpha_star[i] -= t
-        if side_j > 0:
-            alpha[j] -= t
-        else:
-            alpha_star[j] += t
-        F += t * Ki
+        a[vi] += t if vi < l else -t
+        a[vj] += -t if vj < l else t
+        for v in (vi, vj):
+            if v < l:
+                up[v], low[v] = a[v] < C, a[v] > 0
+            else:
+                up[v], low[v] = a[v] > 0, a[v] < C
+        F += t * K[i]
         F -= t * K[j]
         iters += 1
 
     converged = gap <= tol
-    beta = alpha - alpha_star
+    a = np.array(a)
+    beta = a[:l] - a[l:]
 
     # bias from free variables; fall back to the midpoint of the KKT bounds
-    sp = y - eps - F
-    free_p = (alpha > 1e-12) & (alpha < C - 1e-12)
-    free_m = (alpha_star > 1e-12) & (alpha_star < C - 1e-12)
-    free_scores = np.concatenate([sp[free_p], sp[free_m] + two_eps])
-    if len(free_scores):
-        bias = float(np.mean(free_scores))
+    np.subtract(y_eps, F, out=s_p)
+    np.add(s_p, two_eps, out=s_m)
+    free = (a > 1e-12) & (a < C - 1e-12)
+    if free.any():
+        bias = float(np.mean(s[free]))
     else:
-        hi = max(np.where(alpha < C, sp, -inf).max(),
-                 np.where(alpha_star > 0, sp + two_eps, -inf).max())
-        lo = min(np.where(alpha > 0, sp, inf).min(),
-                 np.where(alpha_star < C, sp + two_eps, inf).min())
+        hi = np.where(up, s, -inf).max()
+        lo = np.where(low, s, inf).min()
         bias = float((hi + lo) / 2.0)
     return beta, bias, iters, converged, float(gap)
 
@@ -200,6 +203,10 @@ def fit(X: np.ndarray, y: np.ndarray, config: SvrConfig,
 
     K = _rbf(Z, Z, config.gamma)
     beta, bias, iters, converged, gap = _solve_smo(K, y, config)
+    if not converged:
+        warnings.warn(f"SMO solver stopped after {iters} iterations without "
+                      f"converging: KKT gap {gap:.6g} > tol {config.tol:g}",
+                      RuntimeWarning, stacklevel=2)
 
     keep = np.abs(beta) >= 1e-12
     model = SvrModel(
@@ -210,7 +217,7 @@ def fit(X: np.ndarray, y: np.ndarray, config: SvrConfig,
         scaler_mean=mean,
         scaler_std=std,
         feature_names=tuple(feature_names),
-        diagnostics=FitDiagnostics(iters, converged, gap, beta),
+        diagnostics=FitDiagnostics(iters, converged, gap, beta, int(keep.sum())),
     )
     return model
 
@@ -231,23 +238,14 @@ def kkt_max_violation(model: SvrModel, X: np.ndarray, y: np.ndarray) -> float:
     C, eps = model.config.C, model.config.epsilon
     r = np.asarray(y, dtype=np.float64) - model.predict(X)
 
-    worst = 0.0
     bound = 1e-9 * C
-    for bi, ri in zip(beta, r):
-        if bi > C + bound or bi < -C - bound:
-            return math.inf  # dual infeasible
-        if abs(bi) <= bound:
-            v = abs(ri) - eps
-        elif bi >= C - bound:
-            v = eps - ri
-        elif bi <= -C + bound:
-            v = eps + ri
-        elif bi > 0:
-            v = abs(ri - eps)
-        else:
-            v = abs(ri + eps)
-        worst = max(worst, v)
-    return worst
+    if np.any((beta > C + bound) | (beta < -C - bound)):
+        return math.inf  # dual infeasible
+    v = np.select(
+        [np.abs(beta) <= bound, beta >= C - bound, beta <= -C + bound, beta > 0],
+        [np.abs(r) - eps, eps - r, eps + r, np.abs(r - eps)],
+        default=np.abs(r + eps))
+    return float(np.max(v, initial=0.0, where=~np.isnan(v)))
 
 
 def f_statistic(column: np.ndarray, targets: np.ndarray) -> float:
@@ -279,6 +277,7 @@ class EvalReport:
     f_stats: dict[str, float]
     seed: int
     config: SvrConfig
+    fold_fits: list[FitDiagnostics]
 
 
 def impute_columns(X: np.ndarray, means: np.ndarray) -> np.ndarray:
@@ -317,7 +316,7 @@ def cross_validate(X: np.ndarray, y: np.ndarray, config: SvrConfig,
     folds = np.array_split(order, k)
 
     preds = np.empty(len(X))
-    fold_r2, fold_rmse = [], []
+    fold_r2, fold_rmse, fold_fits = [], [], []
     for test_idx in folds:
         train_idx = np.setdiff1d(order, test_idx, assume_unique=True)
         means = column_means(X[train_idx])
@@ -325,6 +324,7 @@ def cross_validate(X: np.ndarray, y: np.ndarray, config: SvrConfig,
                     feature_names)
         p = model.predict(impute_columns(X[test_idx], means))
         preds[test_idx] = p
+        fold_fits.append(model.diagnostics)
         fold_r2.append(_r2(y[test_idx], p))
         fold_rmse.append(float(np.sqrt(np.mean((y[test_idx] - p) ** 2))))
 
@@ -340,6 +340,7 @@ def cross_validate(X: np.ndarray, y: np.ndarray, config: SvrConfig,
         f_stats=f_stats,
         seed=seed,
         config=config,
+        fold_fits=fold_fits,
     )
 
 
@@ -370,18 +371,45 @@ def save_model(model: SvrModel, path) -> None:
 
 
 def load_model(path) -> SvrModel:
+    """Read a model written by ``save_model``; a malformed file raises
+    ``ValueError`` naming what disagrees."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"malformed model file {path}: not a JSON object")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format: {doc.get('format_version')!r}")
-    n_feat = len(doc["feature_names"])
-    sv = np.array(doc["support_vectors"], dtype=np.float64).reshape(-1, n_feat)
+    try:
+        names = tuple(doc["feature_names"])
+        sv = np.array(doc["support_vectors"], dtype=np.float64)
+        coefs = np.array(doc["dual_coefs"], dtype=np.float64)
+        mean = np.array(doc["scaler_mean"], dtype=np.float64)
+        std = np.array(doc["scaler_std"], dtype=np.float64)
+        bias = float(doc["bias"])
+        config = SvrConfig(**doc["config"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed model file {path}: {exc!r}") from exc
+    n_feat = len(names)
+    if sv.size == 0:
+        sv = sv.reshape(0, n_feat)
+    if sv.ndim != 2 or sv.shape[1] != n_feat:
+        raise ValueError(f"model support vectors have shape {sv.shape}, "
+                         f"expected rows of {n_feat} features")
+    if coefs.ndim != 1 or len(coefs) != len(sv):
+        raise ValueError(f"model has {len(sv)} support vectors but "
+                         f"{coefs.size} dual coefficients")
+    for label, arr in (("scaler_mean", mean), ("scaler_std", std)):
+        if arr.shape != (n_feat,):
+            raise ValueError(f"model {label} has shape {arr.shape}, "
+                             f"expected ({n_feat},)")
+    if not math.isfinite(bias):
+        raise ValueError(f"model bias is not finite: {bias!r}")
     return SvrModel(
         support_vectors=sv,
-        dual_coefs=np.array(doc["dual_coefs"], dtype=np.float64),
-        bias=float(doc["bias"]),
-        config=SvrConfig(**doc["config"]),
-        scaler_mean=np.array(doc["scaler_mean"], dtype=np.float64),
-        scaler_std=np.array(doc["scaler_std"], dtype=np.float64),
-        feature_names=tuple(doc["feature_names"]),
+        dual_coefs=coefs,
+        bias=bias,
+        config=config,
+        scaler_mean=mean,
+        scaler_std=std,
+        feature_names=names,
     )

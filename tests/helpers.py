@@ -207,3 +207,125 @@ def spearman(x, y) -> float:
     ry -= ry.mean()
     denom = math.sqrt(float((rx ** 2).sum() * (ry ** 2).sum()))
     return float((rx * ry).sum() / denom) if denom else 0.0
+
+
+# -- SVR oracles -------------------------------------------------------------
+
+
+def reference_solve_smo(K: np.ndarray, y: np.ndarray, config):
+    """SMO on the paired dual.  Returns (beta, bias, iters, converged, gap).
+
+    The reference form of ``revnet.svr._solve_smo``: the same pair choice,
+    step and ``F`` update, written with a fresh masked copy of every score
+    array per iteration.  The package solver must match it bit for bit.
+
+    Internally tracks alpha and alpha* separately plus F = K beta.  The KKT
+    scores collapse to s = y - eps - F for the alpha side and s + 2 eps for
+    the alpha* side; both pair updates move beta_i by +t and beta_j by -t.
+    """
+    l = len(y)
+    C, eps, tol = config.C, config.epsilon, config.tol
+    alpha = np.zeros(l)
+    alpha_star = np.zeros(l)
+    F = np.zeros(l)
+    diag = np.ascontiguousarray(np.diag(K))
+    two_eps = 2.0 * eps
+    inf = np.inf
+
+    iters = 0
+    gap = inf
+    while iters < config.max_passes:
+        sp = y - eps - F
+        up_p = np.where(alpha < C, sp, -inf)
+        up_m = np.where(alpha_star > 0, sp + two_eps, -inf)
+        ip = int(np.argmax(up_p))
+        im = int(np.argmax(up_m))
+        if up_m[im] > up_p[ip]:
+            i, m, side_i = im, up_m[im], -1
+        else:
+            i, m, side_i = ip, up_p[ip], 1
+
+        low_p = np.where(alpha > 0, sp, inf)
+        low_m = np.where(alpha_star < C, sp + two_eps, inf)
+        M = min(low_p.min(), low_m.min())
+        gap = m - M
+        if gap <= tol:
+            break
+
+        # second-order partner choice among violators (libsvm WSS2)
+        Ki = K[i]
+        a_t = np.maximum(diag[i] + diag - 2.0 * Ki, 1e-12)
+        b_p = m - low_p
+        b_m = m - low_m
+        obj_p = np.where(b_p > 0, -(b_p * b_p) / a_t, inf)
+        obj_m = np.where(b_m > 0, -(b_m * b_m) / a_t, inf)
+        jp = int(np.argmin(obj_p))
+        jm = int(np.argmin(obj_m))
+        if obj_m[jm] < obj_p[jp]:
+            j, score_j, side_j = jm, low_m[jm], -1
+        else:
+            j, score_j, side_j = jp, low_p[jp], 1
+        if not np.isfinite(score_j):
+            break
+
+        quad = max(diag[i] + diag[j] - 2.0 * Ki[j], 1e-12)
+        t = (m - score_j) / quad
+        # clip so all four variables stay inside [0, C]
+        t = min(t, C - alpha[i] if side_i > 0 else alpha_star[i])
+        t = min(t, alpha[j] if side_j > 0 else C - alpha_star[j])
+        if t <= 0:
+            break
+        if side_i > 0:
+            alpha[i] += t
+        else:
+            alpha_star[i] -= t
+        if side_j > 0:
+            alpha[j] -= t
+        else:
+            alpha_star[j] += t
+        F += t * Ki
+        F -= t * K[j]
+        iters += 1
+
+    converged = gap <= tol
+    beta = alpha - alpha_star
+
+    # bias from free variables; fall back to the midpoint of the KKT bounds
+    sp = y - eps - F
+    free_p = (alpha > 1e-12) & (alpha < C - 1e-12)
+    free_m = (alpha_star > 1e-12) & (alpha_star < C - 1e-12)
+    free_scores = np.concatenate([sp[free_p], sp[free_m] + two_eps])
+    if len(free_scores):
+        bias = float(np.mean(free_scores))
+    else:
+        hi = max(np.where(alpha < C, sp, -inf).max(),
+                 np.where(alpha_star > 0, sp + two_eps, -inf).max())
+        lo = min(np.where(alpha > 0, sp, inf).min(),
+                 np.where(alpha_star < C, sp + two_eps, inf).min())
+        bias = float((hi + lo) / 2.0)
+    return beta, bias, iters, converged, float(gap)
+
+
+def reference_kkt_max_violation(model, X: np.ndarray, y: np.ndarray) -> float:
+    """Per-row loop form of ``revnet.svr.kkt_max_violation``."""
+    beta = model.diagnostics.train_beta
+    C, eps = model.config.C, model.config.epsilon
+    r = np.asarray(y, dtype=np.float64) - model.predict(X)
+
+    worst = 0.0
+    bound = 1e-9 * C
+    for bi, ri in zip(beta, r):
+        if bi > C + bound or bi < -C - bound:
+            return math.inf  # dual infeasible
+        if abs(bi) <= bound:
+            v = abs(ri) - eps
+        elif bi >= C - bound:
+            v = eps - ri
+        elif bi <= -C + bound:
+            v = eps + ri
+        elif bi > 0:
+            v = abs(ri - eps)
+        else:
+            v = abs(ri + eps)
+        worst = max(worst, v)
+    return worst

@@ -1,9 +1,14 @@
+import functools
 import hashlib
 import json
+import math
 
+import numpy as np
 import pytest
 
-from revnet.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from revnet import svr
+from revnet.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from revnet.features import NETWORK_FEATURES
 
 
 def run(capsys, *argv):
@@ -38,6 +43,21 @@ def test_generate_is_deterministic(tmp_path, capsys):
     manifest = json.loads((tmp_path / "a.jsonl.manifest.json").read_text())
     assert manifest["command"] == "generate" and manifest["seed"] == 4
     assert manifest["outputs"]["a.jsonl"] == sha256(a)
+
+
+def test_generate_keeps_config_seed(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 7, "papers_per_year": 20, "n_years": 1}))
+    assert main(["generate", str(tmp_path / "a.jsonl"), "--config", str(config)]) == EXIT_OK
+    manifest = json.loads((tmp_path / "a.jsonl.manifest.json").read_text())
+    assert manifest["seed"] == 7 and manifest["params"]["seed"] == 7
+    assert main(["generate", str(tmp_path / "b.jsonl"), "--config", str(config),
+                 "--seed", "3"]) == EXIT_OK
+    manifest = json.loads((tmp_path / "b.jsonl.manifest.json").read_text())
+    assert manifest["seed"] == 3
+    assert main(["generate", str(tmp_path / "c.jsonl")]) == EXIT_OK
+    manifest = json.loads((tmp_path / "c.jsonl.manifest.json").read_text())
+    assert manifest["seed"] == 0
 
 
 def test_validate_accepts_generated_log(workspace, capsys):
@@ -82,6 +102,11 @@ def test_features_train_predict_pipeline(workspace, capsys):
     doc = json.loads(report.read_text())
     assert doc["features"] == ["Deg", "BC", "CC", "Clus", "PR"]
     assert len(doc["fold_r2"]) == 5
+    assert len(doc["fits"]) == 6  # five folds, then the final fit
+    for fit in doc["fits"]:
+        assert set(fit) == {"iterations", "converged", "kkt_gap", "n_support"}
+        assert fit["converged"] and fit["kkt_gap"] <= 1e-3
+    assert doc["fits"][-1]["n_support"] == len(json.loads(model.read_text())["dual_coefs"])
 
     preds = workspace / "preds.csv"
     code, out, _ = run(capsys, "predict", str(model), str(feat_csv), str(preds))
@@ -93,6 +118,48 @@ def test_features_train_predict_pipeline(workspace, capsys):
     for line in lines[1:]:
         pid, value = line.split(",")
         float(value)
+
+
+def test_train_reports_nonconvergence(workspace, tmp_path, capsys, monkeypatch):
+    feat_dir = tmp_path / "features"
+    assert main(["features", str(workspace / "events.jsonl"), str(feat_dir),
+                 "--year-from", "2008", "--year-to", "2010"]) == EXIT_OK
+    monkeypatch.setattr(svr, "SvrConfig", functools.partial(svr.SvrConfig, max_passes=3))
+    report = tmp_path / "report.json"
+    with pytest.warns(RuntimeWarning, match="without converging"):
+        code = main(["train", str(feat_dir / "features.csv"), str(tmp_path / "model.json"),
+                     "--network-only", "--folds", "3", "--report-out", str(report)])
+    assert code == EXIT_OK
+    fits = json.loads(report.read_text())["fits"]
+    assert len(fits) == 4
+    assert all(f["iterations"] == 3 and f["converged"] is False for f in fits)
+
+
+def test_train_rejects_nonfinite_hyperparameter(workspace, capsys):
+    code, out, err = run(capsys, "train", str(workspace / "absent.csv"),
+                         str(workspace / "never.json"), "--gamma", "nan")
+    assert code == EXIT_USAGE
+    assert "gamma must be finite" in err
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda doc: doc["dual_coefs"].pop(),
+    lambda doc: doc["scaler_std"].pop(),
+    lambda doc: doc.update(bias=math.inf),
+])
+def test_predict_rejects_tampered_model(tmp_path, capsys, tamper):
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(30, len(NETWORK_FEATURES)))
+    model = svr.fit(X, X[:, 0], svr.SvrConfig(gamma=0.5), NETWORK_FEATURES)
+    path = tmp_path / "model.json"
+    svr.save_model(model, path)
+    doc = json.loads(path.read_text())
+    tamper(doc)
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "predict", str(path), str(tmp_path / "absent.csv"),
+                         str(tmp_path / "preds.csv"))
+    assert code == EXIT_USAGE
+    assert err.startswith("error: model ") and "Traceback" not in err
 
 
 def test_analyze_writes_bundle(workspace, capsys):

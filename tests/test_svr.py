@@ -1,12 +1,14 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from revnet.svr import (EvalReport, SvrConfig, column_means, cross_validate,
-                        f_statistic, fit, impute_columns, kkt_max_violation,
-                        load_model, save_model)
+from helpers import reference_kkt_max_violation, reference_solve_smo
+from revnet.svr import (EvalReport, SvrConfig, _rbf, _solve_smo, column_means,
+                        cross_validate, f_statistic, fit, impute_columns,
+                        kkt_max_violation, load_model, save_model)
 
 
 def random_problem(seed, n=60, d=4, noise=0.1):
@@ -23,6 +25,17 @@ def test_config_validation():
         SvrConfig(gamma=-1)
     with pytest.raises(ValueError):
         SvrConfig(epsilon=-0.1)
+    for name in ("C", "gamma", "epsilon", "tol"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=name):
+                SvrConfig(**{name: bad})
+    for tol in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="tol"):
+            SvrConfig(tol=tol)
+    for passes in (0, -5):
+        with pytest.raises(ValueError, match="max_passes"):
+            SvrConfig(max_passes=passes)
+    SvrConfig(epsilon=0.0, max_passes=1)  # boundary values stay legal
 
 
 def test_constant_target_is_exact():
@@ -89,6 +102,75 @@ def test_duplicate_rows_still_satisfy_kkt():
     model = fit(X2, y2, config)
     assert model.diagnostics.converged
     assert kkt_max_violation(model, X2, y2) <= config.tol + 1e-9
+
+
+def solver_problems():
+    """Random problems for the solver parity test, each with a named twist."""
+    for seed in range(24):
+        rng = np.random.default_rng(100 + seed)
+        n, d = int(rng.integers(2, 90)), int(rng.integers(1, 5))
+        X = rng.normal(size=(n, d))
+        y = np.sin(X[:, 0]) + 0.3 * rng.normal(size=n)
+        config = SvrConfig(C=float(rng.choice([1.0, 10.0, 100.0])),
+                           gamma=float(rng.uniform(0.05, 2.0)),
+                           epsilon=float(rng.choice([0.0, 0.05, 0.1])))
+        kind = ("plain", "duplicates", "constant", "small_C", "large_eps",
+                "capped")[seed % 6]
+        if kind == "duplicates":
+            X, y = np.vstack([X, X[: n // 2 + 1]]), np.concatenate([y, y[: n // 2 + 1]])
+        elif kind == "constant":
+            y = np.full(len(y), float(rng.normal()))
+        elif kind == "small_C":
+            config = dataclasses.replace(config, C=0.01)
+        elif kind == "large_eps":
+            config = dataclasses.replace(config, epsilon=1.0)
+        elif kind == "capped":
+            config = dataclasses.replace(config, max_passes=int(rng.integers(1, 6)))
+        yield kind, X, y, config
+
+
+def test_solver_matches_reference_bit_for_bit():
+    seen = set()
+    for kind, X, y, config in solver_problems():
+        K = _rbf(X, X, config.gamma)
+        beta, bias, iters, converged, gap = _solve_smo(K, y, config)
+        r_beta, r_bias, r_iters, r_converged, r_gap = reference_solve_smo(K, y, config)
+        assert beta.tobytes() == r_beta.tobytes(), kind
+        assert (bias, iters, converged, gap) == (r_bias, r_iters, r_converged, r_gap), kind
+        if kind == "capped" and iters == config.max_passes and not converged:
+            seen.add("cap hit")
+        if kind == "small_C" and np.any(np.abs(beta) >= config.C * (1 - 1e-9)):
+            seen.add("at bound")
+        if kind == "large_eps" and np.count_nonzero(beta) < len(y) // 2:
+            seen.add("few SVs")
+    assert seen == {"cap hit", "at bound", "few SVs"}
+
+
+def test_nonconvergence_warns_and_is_recorded():
+    X, y = random_problem(11)
+    with pytest.warns(RuntimeWarning, match="3 iterations without converging"):
+        model = fit(X, y, SvrConfig(gamma=0.5, max_passes=3))
+    diag = model.diagnostics
+    assert diag.iterations == 3 and not diag.converged
+    assert diag.kkt_gap > model.config.tol
+    assert diag.n_support == len(model.dual_coefs)
+
+
+def test_kkt_violation_matches_reference_loop():
+    for seed in range(4):
+        X, y = random_problem(seed, n=40)
+        model = fit(X, y, SvrConfig(C=1.0, gamma=0.5, epsilon=0.1))
+        assert kkt_max_violation(model, X, y) == reference_kkt_max_violation(model, X, y)
+    C = model.config.C
+    for beta in ([0.0, C, -C, 0.3, -0.7, 0.0, C, -C, 0.5, -0.2],
+                 [0.0, 1e-12, -1e-12, C * (1 + 1e-12), -C * (1 - 1e-12),
+                  0.2, -0.2, 0.0, 0.9, -0.9],
+                 [0.0, 0.1, math.inf, -0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                 [0.0, 0.1, -0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -C * 1.01]):
+        model.diagnostics.train_beta = np.array(beta)
+        expected = reference_kkt_max_violation(model, X[:10], y[:10])
+        assert kkt_max_violation(model, X[:10], y[:10]) == expected
+    assert expected == math.inf
 
 
 def test_fit_rejects_nan_and_tiny_input():
@@ -212,3 +294,28 @@ def test_load_model_rejects_unknown_version(tmp_path):
     path.write_text(json.dumps({"format_version": 99}))
     with pytest.raises(ValueError):
         load_model(path)
+
+
+def tampered_models():
+    yield "dual coefficients", lambda doc: doc["dual_coefs"].pop()
+    yield "support vectors", lambda doc: [row.append(0.5) for row in doc["support_vectors"]]
+    yield "scaler_mean", lambda doc: doc["scaler_mean"].pop()
+    yield "scaler_std", lambda doc: doc["scaler_std"].append(1.0)
+    yield "bias", lambda doc: doc.update(bias=math.nan)
+    yield "bias", lambda doc: doc.update(bias=math.inf)
+    yield "malformed", lambda doc: doc.pop("scaler_std")
+    yield "malformed", lambda doc: doc["config"].update(tol="tight")
+
+
+def test_load_model_rejects_tampered_shapes(tmp_path):
+    X, y = random_problem(10)
+    model = fit(X, y, SvrConfig(C=10.0, gamma=0.5), feature_names=("a", "b", "c", "d"))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    for what, tamper in tampered_models():
+        bad = json.loads(json.dumps(doc))
+        tamper(bad)
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ValueError, match=what):
+            load_model(path)

@@ -4,12 +4,16 @@ Degree, betweenness (Brandes, endpoints excluded, normalized by
 (n-1)(n-2)/2), a disconnected-safe closeness variant, the local clustering
 coefficient, and PageRank by power iteration.  All measures are exact and
 deterministic; node order follows the graph's sorted node tuple.
+
+Shortest paths and triangles are counted with dense matrix products on the
+graph's 0/1 adjacency matrix, over fixed blocks of ``SOURCE_BLOCK`` rows, so
+beyond the matrix itself the working set stays O(SOURCE_BLOCK * n).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -18,6 +22,9 @@ from .review_graph import ReviewGraph
 PAGERANK_DAMPING = 0.85
 PAGERANK_TOL = 1e-9
 PAGERANK_MAX_ITER = 200
+
+# Rows (BFS sources, or clustering rows) handled per matrix product.
+SOURCE_BLOCK = 256
 
 MEASURES = ("degree", "betweenness", "closeness", "clustering", "pagerank")
 
@@ -31,15 +38,6 @@ class CentralityTable:
     clustering: np.ndarray
     pagerank: np.ndarray
     pagerank_converged: bool
-
-    def row(self, i: int) -> dict[str, float]:
-        return {
-            "degree": float(self.degree[i]),
-            "betweenness": float(self.betweenness[i]),
-            "closeness": float(self.closeness[i]),
-            "clustering": float(self.clustering[i]),
-            "pagerank": float(self.pagerank[i]),
-        }
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -56,57 +54,72 @@ def degree(graph: ReviewGraph) -> np.ndarray:
     return np.array([len(a) for a in graph.adj], dtype=np.int64)
 
 
+def _adjacency(graph: ReviewGraph) -> np.ndarray:
+    """Dense symmetric 0/1 adjacency matrix (float64, zero diagonal)."""
+    n = graph.n
+    deg = degree(graph)
+    A = np.zeros((n, n))
+    A[np.repeat(np.arange(n), deg),
+      np.fromiter(chain.from_iterable(graph.adj), dtype=np.int64,
+                  count=int(deg.sum()))] = 1.0
+    return A
+
+
 def _brandes_pass(graph: ReviewGraph):
-    """Single sweep computing betweenness and per-node distance sums.
+    """Level-synchronous Brandes sweep over blocks of sources at once.
+
+    Forward, ``frontier @ A`` takes the shortest-path counts sigma of every
+    source in the block one BFS level deeper, and the integer distance
+    matrix records each node's level.  Backward, the levels are walked
+    deepest first with Brandes' dependency recursion, one product per level:
+    delta[v] += sigma[v] * sum over neighbours w one level deeper of
+    (1 + delta[w]) / sigma[w].
 
     Returns (raw betweenness with each pair counted twice, distance sums,
     reachable-component sizes).
     """
     n = graph.n
-    adj = graph.adj
-    bc = [0.0] * n
-    dist_sum = [0] * n
-    comp_size = [1] * n
+    A = _adjacency(graph)
+    bc = np.zeros(n)
+    dist_sum = np.zeros(n, dtype=np.int64)
+    comp_size = np.ones(n, dtype=np.int64)
 
-    for s in range(n):
-        sigma = [0] * n
-        dist = [-1] * n
-        preds: list[list[int]] = [[] for _ in range(n)]
-        sigma[s] = 1
-        dist[s] = 0
-        stack: list[int] = []
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            stack.append(v)
-            dv = dist[v]
-            for w in adj[v]:
-                if dist[w] < 0:
-                    dist[w] = dv + 1
-                    queue.append(w)
-                if dist[w] == dv + 1:
-                    sigma[w] += sigma[v]
-                    preds[w].append(v)
-        delta = [0.0] * n
-        total = 0
-        reach = 0
-        for w in reversed(stack):
-            coeff = (1.0 + delta[w]) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coeff
-            if w != s:
-                bc[w] += delta[w]
-                total += dist[w]
-                reach += 1
-        dist_sum[s] = total
-        comp_size[s] = reach + 1
+    for lo in range(0, n, SOURCE_BLOCK):
+        sources = np.arange(lo, min(lo + SOURCE_BLOCK, n))
+        rows = np.arange(len(sources))
+        dist = np.full((len(sources), n), -1, dtype=np.int64)
+        sigma = np.zeros((len(sources), n))
+        dist[rows, sources] = 0
+        sigma[rows, sources] = 1.0
+        frontier = dist == 0
+        depth = 0
+        while True:
+            paths = np.where(frontier, sigma, 0.0) @ A
+            frontier = (paths > 0.0) & (dist < 0)
+            if not frontier.any():
+                break
+            depth += 1
+            sigma[frontier] = paths[frontier]
+            dist[frontier] = depth
+
+        delta = np.zeros_like(sigma)
+        for d in range(depth, 0, -1):
+            coeff = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma),
+                              where=dist == d)
+            parents = dist == d - 1
+            delta[parents] += sigma[parents] * (coeff @ A)[parents]
+        delta[rows, sources] = 0.0
+        bc += delta.sum(axis=0)
+        reached = dist >= 0
+        dist_sum[sources] = np.where(reached, dist, 0).sum(axis=1)
+        comp_size[sources] = reached.sum(axis=1)
 
     return bc, dist_sum, comp_size
 
 
 def betweenness(graph: ReviewGraph) -> np.ndarray:
     bc, _, _ = _brandes_pass(graph)
-    return _normalize_betweenness(np.array(bc), graph.n)
+    return _normalize_betweenness(bc, graph.n)
 
 
 def _normalize_betweenness(raw: np.ndarray, n: int) -> np.ndarray:
@@ -121,30 +134,28 @@ def closeness(graph: ReviewGraph) -> np.ndarray:
     return _closeness_from_sums(dist_sum, comp_size, graph.n)
 
 
-def _closeness_from_sums(dist_sum, comp_size, n: int) -> np.ndarray:
+def _closeness_from_sums(dist_sum: np.ndarray, comp_size: np.ndarray,
+                         n: int) -> np.ndarray:
     out = np.zeros(n)
-    for v in range(n):
-        r = comp_size[v]
-        if r > 1 and dist_sum[v] > 0:
-            out[v] = ((r - 1) / (n - 1)) * ((r - 1) / dist_sum[v])
+    ok = (comp_size > 1) & (dist_sum > 0)
+    r = comp_size[ok] - 1
+    out[ok] = (r / (n - 1)) * (r / dist_sum[ok])
     return out
 
 
 def clustering(graph: ReviewGraph) -> np.ndarray:
-    out = np.zeros(graph.n)
-    neighbor_sets = [set(a) for a in graph.adj]
-    for v in range(graph.n):
-        neigh = graph.adj[v]
-        k = len(neigh)
-        if k < 2:
-            continue
-        links = 0
-        for i, u in enumerate(neigh):
-            su = neighbor_sets[u]
-            for w in neigh[i + 1:]:
-                if w in su:
-                    links += 1
-        out[v] = 2.0 * links / (k * (k - 1))
+    """Local clustering; row v of ``(A @ A) * A`` sums to twice the number
+    of links among v's neighbours."""
+    n = graph.n
+    A = _adjacency(graph)
+    k = A.sum(axis=1)
+    links = np.zeros(n)
+    for lo in range(0, n, SOURCE_BLOCK):
+        block = A[lo:lo + SOURCE_BLOCK]
+        links[lo:lo + SOURCE_BLOCK] = ((block @ A) * block).sum(axis=1) / 2.0
+    out = np.zeros(n)
+    wide = k >= 2
+    out[wide] = 2.0 * links[wide] / (k[wide] * (k[wide] - 1))
     return out
 
 
@@ -195,7 +206,7 @@ def compute_table(graph: ReviewGraph, damping: float = PAGERANK_DAMPING,
     return CentralityTable(
         nodes=graph.nodes,
         degree=degree(graph),
-        betweenness=_normalize_betweenness(np.array(bc_raw), graph.n),
+        betweenness=_normalize_betweenness(bc_raw, graph.n),
         closeness=_closeness_from_sums(dist_sum, comp_size, graph.n),
         clustering=clustering(graph),
         pagerank=pr,

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from typing import Optional
 
 import numpy as np
 
@@ -38,8 +39,10 @@ def _sha256(path) -> str:
 
 
 def _write_manifest(path, command: str, params: dict, inputs: list,
-                    outputs: list, seed, started: float) -> None:
+                    outputs: list, seed, started: float,
+                    extra: Optional[dict] = None) -> None:
     doc = {
+        **(extra or {}),
         "command": command,
         "config_hash": hashlib.sha256(
             json.dumps(params, sort_keys=True, default=str).encode()).hexdigest(),
@@ -97,17 +100,23 @@ def cmd_features(args) -> int:
     corpus = Corpus.from_file(args.log)
     lexicon = load_lexicon(args.lexicon_dir)
     window = (args.year_from, args.year_to)
-    matrix = features.assemble_matrix(corpus, window, lexicon)
+    cache = features.SnapshotCache(corpus)
+    matrix = features.assemble_matrix(corpus, window, lexicon, cache)
     if len(matrix.paper_ids) == 0:
         print(f"warning: no accepted papers published in {window[0]}-{window[1]}",
               file=sys.stderr)
+    stats = cache.stats()
+    if stats["pagerank_nonconverged"]:
+        print(f"warning: PageRank did not converge on {stats['pagerank_nonconverged']} "
+              f"of {stats['snapshot_tables']} snapshot graphs", file=sys.stderr)
     os.makedirs(args.out_dir, exist_ok=True)
     out_csv = os.path.join(args.out_dir, "features.csv")
     features.write_matrix_csv(matrix, out_csv)
     print(f"{len(matrix.paper_ids)} rows x {len(FEATURE_NAMES)} features -> {out_csv}")
     _write_manifest(os.path.join(args.out_dir, "features.manifest.json"), "features",
                     {"log": str(args.log), "window": list(window)},
-                    [args.log], [out_csv, out_csv + ".missing"], None, started)
+                    [args.log], [out_csv, out_csv + ".missing"], None, started,
+                    {"centrality": stats})
     return EXIT_OK
 
 

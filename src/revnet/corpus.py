@@ -131,6 +131,14 @@ def _require(record: dict, key: str) -> object:
     return record[key]
 
 
+def _parse_round(record: dict) -> int:
+    raw = _require(record, "round")
+    integral = isinstance(raw, int) or (isinstance(raw, float) and raw.is_integer())
+    if isinstance(raw, bool) or not integral or raw < 1:
+        raise ValueError(f"round must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
 def _parse_record(record: dict) -> ReviewEvent:
     kind = _require(record, "type")
     paper_id = str(_require(record, "paper_id"))
@@ -142,15 +150,11 @@ def _parse_record(record: dict) -> ReviewEvent:
         return Submission(paper_id, date, tuple(str(a) for a in authors),
                           str(record.get("title", "")))
     if kind == "assignment":
-        rnd = int(_require(record, "round"))
-        if rnd < 1:
-            raise ValueError(f"round must be a positive int, got {rnd}")
+        rnd = _parse_round(record)
         return Assignment(paper_id, date, str(_require(record, "editor_id")),
                           str(_require(record, "reviewer_id")), rnd)
     if kind == "report":
-        rnd = int(_require(record, "round"))
-        if rnd < 1:
-            raise ValueError(f"round must be a positive int, got {rnd}")
+        rnd = _parse_round(record)
         rec = str(_require(record, "recommendation"))
         if rec not in RECOMMENDATIONS:
             raise ValueError(f"unknown recommendation {rec!r}")
@@ -160,9 +164,7 @@ def _parse_record(record: dict) -> ReviewEvent:
         outcome = str(_require(record, "outcome"))
         if outcome not in TERMINAL_OUTCOMES:
             raise ValueError(f"unknown outcome {outcome!r}")
-        rnd = int(_require(record, "round"))
-        if rnd < 1:
-            raise ValueError(f"round must be a positive int, got {rnd}")
+        rnd = _parse_round(record)
         return Decision(paper_id, date, outcome, rnd)
     if kind == "citation":
         cites = int(_require(record, "cumulative_citations"))
@@ -198,12 +200,16 @@ def parse_events(lines: Iterable[str]) -> tuple[list[ReviewEvent], list[LogError
 def validate_events(events: list[ReviewEvent]) -> list[LogError]:
     """Check the cross-event invariants of a parsed log.
 
-    Positions in the returned diagnostics are 1-based indexes into ``events``.
+    Besides identity and round rules, no assignment, report or decision may
+    predate its paper's submission, and no assignment or report may postdate
+    the paper's terminal decision.  Positions in the returned diagnostics are
+    1-based indexes into ``events``.
     """
     errors: list[LogError] = []
     submission: dict[str, Submission] = {}
     decided: dict[str, Decision] = {}
     rounds: dict[str, set[int]] = {}
+    reviewing: list[tuple[int, Union[Assignment, Report]]] = []
 
     for pos, ev in enumerate(events, start=1):
         pid = ev.paper_id
@@ -217,17 +223,31 @@ def validate_events(events: list[ReviewEvent]) -> list[LogError]:
             errors.append(LogError(
                 pos, f"{type(ev).__name__.lower()} for paper {pid} without prior submission"))
             continue
-        if isinstance(ev, (Assignment, Report, Decision)):
-            rounds.setdefault(pid, set()).add(ev.round)
+        if isinstance(ev, CitationRecord):
+            if pid not in decided:
+                errors.append(LogError(
+                    pos, f"citation record for paper {pid} before any terminal decision"))
+            continue
+        rounds.setdefault(pid, set()).add(ev.round)
+        if ev.date < submission[pid].date:
+            errors.append(LogError(
+                pos, f"{type(ev).__name__.lower()} for paper {pid} dated {ev.date} "
+                     f"before its submission on {submission[pid].date}"))
         if isinstance(ev, Decision):
             if pid in decided:
                 errors.append(LogError(pos, f"duplicate terminal decision for paper {pid}"))
             else:
                 decided[pid] = ev
-        elif isinstance(ev, CitationRecord):
-            if pid not in decided:
-                errors.append(LogError(
-                    pos, f"citation record for paper {pid} before any terminal decision"))
+        else:
+            reviewing.append((pos, ev))
+
+    # the decision may come later in the file than the events it closes
+    for pos, ev in reviewing:
+        dec = decided.get(ev.paper_id)
+        if dec is not None and ev.date > dec.date:
+            errors.append(LogError(
+                pos, f"{type(ev).__name__.lower()} for paper {ev.paper_id} dated "
+                     f"{ev.date} after its terminal decision on {dec.date}"))
 
     for pid, seen in sorted(rounds.items()):
         expected = set(range(1, max(seen) + 1))

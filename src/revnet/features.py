@@ -78,6 +78,16 @@ class SnapshotCache:
             self._tables[cutoff] = hit
         return hit
 
+    def stats(self) -> dict:
+        """Counters over the snapshot tables built so far."""
+        built = self._tables.values()
+        return {
+            "snapshot_tables": len(self._tables),
+            "nodes_max": max((graph.n for graph, _ in built), default=0),
+            "pagerank_nonconverged": sum(not table.pagerank_converged
+                                         for _, table in built),
+        }
+
 
 def network_features(paper_id: str, corpus: Corpus,
                      cache: Optional[SnapshotCache] = None) -> np.ndarray:
@@ -266,16 +276,27 @@ def write_matrix_csv(matrix: AssembledMatrix, path) -> None:
 
 
 def read_matrix_csv(path) -> AssembledMatrix:
+    """Inverse of :func:`write_matrix_csv`; a row with the wrong cell count
+    or an unparsable cell raises ``ValueError`` naming its line."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"unexpected feature CSV header: {header!r}")
+        width = len(FEATURE_NAMES) + 3
         ids, rows, ys, years = [], [], [], []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
+            if len(parts) != width:
+                raise ValueError(f"{path}: line {lineno} has {len(parts)} cells, "
+                                 f"expected {width}")
+            try:
+                row = [float(v) for v in parts[1:-2]]
+                target, year = float(parts[-2]), int(parts[-1])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
             ids.append(parts[0])
-            rows.append([float(v) for v in parts[1:15]])
-            ys.append(float(parts[15]))
-            years.append(int(parts[16]))
+            rows.append(row)
+            ys.append(target)
+            years.append(year)
     X = np.array(rows) if rows else np.zeros((0, len(FEATURE_NAMES)))
     return AssembledMatrix(tuple(ids), X, np.isnan(X), np.array(ys), tuple(years))

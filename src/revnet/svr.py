@@ -182,14 +182,14 @@ def fit(X: np.ndarray, y: np.ndarray, config: SvrConfig,
         feature_names: Optional[tuple[str, ...]] = None) -> SvrModel:
     """Standardize, solve the dual, and package the model.
 
-    ``X`` must be fully imputed (no NaN) with at least 2 rows.
+    ``X`` must be fully imputed and finite, with at least 2 rows.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or len(X) < 2:
         raise ValueError("need a 2-D matrix with at least 2 rows")
-    if np.isnan(X).any() or np.isnan(y).any():
-        raise ValueError("fit requires imputed (NaN-free) inputs")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("fit requires finite, imputed (NaN-free) inputs")
     if feature_names is None:
         feature_names = tuple(f"x{i}" for i in range(X.shape[1]))
 
@@ -304,6 +304,9 @@ def cross_validate(X: np.ndarray, y: np.ndarray, config: SvrConfig,
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    if np.isinf(X).any() or not np.isfinite(y).all():
+        raise ValueError("cross_validate requires finite targets and features "
+                         "(NaN features are imputed per fold)")
     if k < 2:
         raise ValueError("k must be >= 2")
     if len(X) < k:

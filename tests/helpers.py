@@ -10,6 +10,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 import random
+from collections import deque
 
 import numpy as np
 
@@ -134,6 +135,89 @@ def oracle_pagerank(graph: ReviewGraph, damping: float = 0.85) -> np.ndarray:
             P[:, u] = A[:, u] / deg[u]
     return np.linalg.solve(np.eye(n) - damping * P,
                            np.full(n, (1.0 - damping) / n))
+
+
+# -- reference forms of the package centrality code ------------------------
+
+
+def reference_brandes_pass(graph: ReviewGraph):
+    """Single sweep computing betweenness and per-node distance sums.
+
+    The queue-and-stack form of ``revnet.centrality._brandes_pass``, one
+    source at a time with Python integers for sigma.
+
+    Returns (raw betweenness with each pair counted twice, distance sums,
+    reachable-component sizes).
+    """
+    n = graph.n
+    adj = graph.adj
+    bc = [0.0] * n
+    dist_sum = [0] * n
+    comp_size = [1] * n
+
+    for s in range(n):
+        sigma = [0] * n
+        dist = [-1] * n
+        preds: list[list[int]] = [[] for _ in range(n)]
+        sigma[s] = 1
+        dist[s] = 0
+        stack: list[int] = []
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            stack.append(v)
+            dv = dist[v]
+            for w in adj[v]:
+                if dist[w] < 0:
+                    dist[w] = dv + 1
+                    queue.append(w)
+                if dist[w] == dv + 1:
+                    sigma[w] += sigma[v]
+                    preds[w].append(v)
+        delta = [0.0] * n
+        total = 0
+        reach = 0
+        for w in reversed(stack):
+            coeff = (1.0 + delta[w]) / sigma[w]
+            for v in preds[w]:
+                delta[v] += sigma[v] * coeff
+            if w != s:
+                bc[w] += delta[w]
+                total += dist[w]
+                reach += 1
+        dist_sum[s] = total
+        comp_size[s] = reach + 1
+
+    return bc, dist_sum, comp_size
+
+
+def reference_closeness_from_sums(dist_sum, comp_size, n: int) -> np.ndarray:
+    """Per-node loop form of ``revnet.centrality._closeness_from_sums``."""
+    out = np.zeros(n)
+    for v in range(n):
+        r = comp_size[v]
+        if r > 1 and dist_sum[v] > 0:
+            out[v] = ((r - 1) / (n - 1)) * ((r - 1) / dist_sum[v])
+    return out
+
+
+def reference_clustering(graph: ReviewGraph) -> np.ndarray:
+    """Neighbour-pair loop form of ``revnet.centrality.clustering``."""
+    out = np.zeros(graph.n)
+    neighbor_sets = [set(a) for a in graph.adj]
+    for v in range(graph.n):
+        neigh = graph.adj[v]
+        k = len(neigh)
+        if k < 2:
+            continue
+        links = 0
+        for i, u in enumerate(neigh):
+            su = neighbor_sets[u]
+            for w in neigh[i + 1:]:
+                if w in su:
+                    links += 1
+        out[v] = 2.0 * links / (k * (k - 1))
+    return out
 
 
 # -- corpus builders ---------------------------------------------------------

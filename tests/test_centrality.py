@@ -8,7 +8,9 @@ from revnet.centrality import (betweenness, closeness, clustering,
                                compute_table, degree, pagerank)
 
 from helpers import (graph_from_edges, oracle_betweenness, oracle_closeness,
-                     oracle_clustering, oracle_pagerank, random_graph)
+                     oracle_clustering, oracle_pagerank, random_graph,
+                     reference_brandes_pass, reference_closeness_from_sums,
+                     reference_clustering)
 
 
 def path_graph(n):
@@ -156,6 +158,87 @@ def test_table_csv_round_trips_floats(tmp_path):
         assert parts[0] == graph.nodes[i]
         assert float(parts[2]) == table.betweenness[i]
         assert float(parts[5]) == table.pagerank[i]
+
+
+# -- parity with the reference loop forms -----------------------------------
+
+
+def assert_matches_reference(graph):
+    """Degree, closeness, clustering and PageRank byte-equal to the loop
+    forms; betweenness, whose sums run in another order, within 1e-12
+    relative (zero exactly where the reference is zero)."""
+    n = graph.n
+    table = compute_table(graph)
+    bc_raw, dist_sum, comp_size = reference_brandes_pass(graph)
+    _, new_dist_sum, new_comp_size = centrality._brandes_pass(graph)
+    assert new_dist_sum.tolist() == dist_sum and new_comp_size.tolist() == comp_size
+    expected_bc = np.zeros(n) if n < 3 else np.array(bc_raw) / ((n - 1) * (n - 2))
+    assert np.all(np.abs(table.betweenness - expected_bc) <= 1e-12 * expected_bc)
+    assert table.degree.tobytes() == np.array([len(a) for a in graph.adj]).tobytes()
+    assert table.closeness.tobytes() == reference_closeness_from_sums(
+        dist_sum, comp_size, n).tobytes()
+    assert table.clustering.tobytes() == reference_clustering(graph).tobytes()
+    pr, ok = pagerank(graph)
+    assert table.pagerank.tobytes() == pr.tobytes() and table.pagerank_converged == ok
+
+
+def test_matrix_pass_matches_reference_on_named_graphs():
+    two_components_and_isolates = graph_from_edges(
+        9, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3), (5, 6)])
+    for graph in (graph_from_edges(0, []), graph_from_edges(1, []),
+                  graph_from_edges(2, []), graph_from_edges(2, [(0, 1)]),
+                  path_graph(9), cycle_graph(8), star_graph(7), complete_graph(6),
+                  two_components_and_isolates):
+        assert_matches_reference(graph)
+
+
+def test_matrix_pass_matches_reference_on_random_graphs():
+    rng = random.Random(29)
+    for _ in range(40):
+        graph = random_graph(rng, rng.randrange(3, 45),
+                             rng.choice([0.03, 0.1, 0.3, 0.7]))
+        assert_matches_reference(graph)
+
+
+def test_matrix_pass_over_several_source_blocks(monkeypatch):
+    rng = random.Random(31)
+    graph = random_graph(rng, 23, 0.12)  # sparse: several components
+    whole = compute_table(graph)
+    monkeypatch.setattr(centrality, "SOURCE_BLOCK", 4)
+    assert_matches_reference(graph)
+    blocked = compute_table(graph)
+    assert blocked.closeness.tobytes() == whole.closeness.tobytes()
+    assert blocked.clustering.tobytes() == whole.clustering.tobytes()
+    assert np.allclose(blocked.betweenness, whole.betweenness, rtol=1e-12, atol=0.0)
+
+
+def test_measures_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(37)
+    for _ in range(30):
+        n = rng.randrange(3, 30)
+        # a sparse part and a dense part, so isolates and several components occur
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < (0.08 if u < n // 2 else 0.5)]
+        graph = graph_from_edges(n, edges)
+        G = nx.Graph()
+        G.add_nodes_from(range(n))
+        G.add_edges_from(edges)
+        table = compute_table(graph)
+
+        def column(scores):
+            return np.array([scores[v] for v in range(n)])
+
+        assert np.allclose(table.betweenness,
+                           column(nx.betweenness_centrality(G, normalized=True)),
+                           rtol=0.0, atol=1e-12)
+        assert np.allclose(table.closeness, column(nx.closeness_centrality(G)),
+                           rtol=0.0, atol=1e-12)
+        assert np.allclose(table.clustering, column(nx.clustering(G)),
+                           rtol=0.0, atol=1e-12)
+        assert np.allclose(table.pagerank,
+                           column(nx.pagerank(G, alpha=0.85, tol=1e-13, max_iter=1000)),
+                           rtol=0.0, atol=1e-8)
 
 
 # -- bounds ------------------------------------------------------------------

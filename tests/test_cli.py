@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from revnet import svr
+from revnet import centrality, features, svr
 from revnet.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from revnet.features import NETWORK_FEATURES
 
@@ -91,6 +91,10 @@ def test_features_train_predict_pipeline(workspace, capsys):
     assert feat_csv.exists() and (feat_dir / "features.csv.missing").exists()
     manifest = json.loads((feat_dir / "features.manifest.json").read_text())
     assert manifest["inputs"]["events.jsonl"] == sha256(log)
+    stats = manifest["centrality"]
+    assert set(stats) == {"snapshot_tables", "nodes_max", "pagerank_nonconverged"}
+    assert stats["snapshot_tables"] > 0 and stats["nodes_max"] > 0
+    assert stats["pagerank_nonconverged"] == 0
 
     model = workspace / "model.json"
     report = workspace / "report.json"
@@ -133,6 +137,60 @@ def test_train_reports_nonconvergence(workspace, tmp_path, capsys, monkeypatch):
     fits = json.loads(report.read_text())["fits"]
     assert len(fits) == 4
     assert all(f["iterations"] == 3 and f["converged"] is False for f in fits)
+
+
+def test_features_warns_on_pagerank_nonconvergence(workspace, tmp_path, capsys,
+                                                  monkeypatch):
+    monkeypatch.setattr(centrality, "pagerank",
+                        lambda graph, *args: (np.full(graph.n, 1.0 / max(graph.n, 1)),
+                                              False))
+    code, out, err = run(capsys, "features", str(workspace / "events.jsonl"),
+                         str(tmp_path), "--year-from", "2008", "--year-to", "2010")
+    assert code == EXIT_OK
+    stats = json.loads((tmp_path / "features.manifest.json").read_text())["centrality"]
+    assert stats["pagerank_nonconverged"] == stats["snapshot_tables"] > 0
+    assert (f"warning: PageRank did not converge on {stats['snapshot_tables']} "
+            f"of {stats['snapshot_tables']} snapshot graphs") in err
+
+
+def write_features(path, rows):
+    path.write_text(features.CSV_HEADER + "\n" + "".join(rows))
+
+
+def feature_row(pid, cells, target="0.5", year="2010"):
+    return ",".join([pid, *cells, target, year]) + "\n"
+
+
+def test_train_rejects_infinite_cell_before_fitting(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(2)
+    rows = [feature_row(f"p{i}", [repr(v) for v in rng.normal(size=14)])
+            for i in range(12)]
+    rows[4] = feature_row("p4", ["inf"] + ["1.0"] * 13)
+    feat_csv = tmp_path / "features.csv"
+    write_features(feat_csv, rows)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit must not run on a matrix holding inf")
+
+    monkeypatch.setattr(svr, "fit", no_fit)
+    code, out, err = run(capsys, "train", str(feat_csv), str(tmp_path / "model.json"),
+                         "--folds", "3")
+    assert code == EXIT_USAGE and "finite" in err
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_truncated_feature_row_is_usage_error(tmp_path, capsys):
+    feat_csv = tmp_path / "features.csv"
+    write_features(feat_csv, [feature_row("p0", ["1.0"] * 14), "p1,1.0,2.0\n"])
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(30, len(NETWORK_FEATURES)))
+    model = tmp_path / "model.json"
+    svr.save_model(svr.fit(X, X[:, 0], svr.SvrConfig(gamma=0.5), NETWORK_FEATURES), model)
+    for argv in (["train", str(feat_csv), str(tmp_path / "never.json")],
+                 ["predict", str(model), str(feat_csv), str(tmp_path / "preds.csv")]):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert "line 3 has 3 cells, expected 17" in err and "Traceback" not in err
 
 
 def test_train_rejects_nonfinite_hyperparameter(workspace, capsys):

@@ -53,6 +53,9 @@ def test_parse_skips_blank_lines_and_keeps_line_numbers():
     (lambda r: r.update(type="review"), "unknown event type"),
     (lambda r: r.update(round=0), "round"),
     (lambda r: r.update(round=-2), "round"),
+    (lambda r: r.update(round=1.9), "round must be a positive integer"),
+    (lambda r: r.update(round=True), "round must be a positive integer"),
+    (lambda r: r.update(round="1"), "round must be a positive integer"),
 ])
 def test_parse_rejects_malformed_records(mutate, fragment):
     record = dict(SAMPLE[1])
@@ -60,6 +63,12 @@ def test_parse_rejects_malformed_records(mutate, fragment):
     events, errors = parse_events(lines_of([record]))
     assert events == []
     assert len(errors) == 1 and fragment in errors[0].message
+
+
+def test_parse_accepts_integral_float_round():
+    events, errors = parse_events(lines_of([dict(SAMPLE[1], round=2.0)]))
+    assert errors == [] and events[0].round == 2
+    assert type(events[0].round) is int
 
 
 def test_parse_rejects_bad_submission_and_citation():
@@ -101,6 +110,34 @@ def test_validate_rounds_must_be_contiguous():
     events, _ = parse_events(lines_of([SAMPLE[0], skipping]))
     errors = validate_events(events)
     assert len(errors) == 1 and "not contiguous" in errors[0].message
+
+
+@pytest.mark.parametrize("index, date, fragment", [
+    (1, "2010-01-04", "assignment for paper p1 dated 2010-01-04 before its submission"),
+    (2, "2009-12-31", "report for paper p1 dated 2009-12-31 before its submission"),
+    (3, "2010-01-01", "decision for paper p1 dated 2010-01-01 before its submission"),
+    (1, "2010-02-26", "assignment for paper p1 dated 2010-02-26 after its terminal decision"),
+    (2, "2010-03-01", "report for paper p1 dated 2010-03-01 after its terminal decision"),
+])
+def test_validate_date_order(index, date, fragment):
+    records = [dict(r) for r in SAMPLE]
+    records[index]["date"] = date
+    events, _ = parse_events(lines_of(records))
+    errors = validate_events(events)
+    assert any(fragment in e.message and e.line == index + 1 for e in errors)
+
+
+def test_validate_date_order_holds_whatever_the_file_order():
+    # the late report is listed before the decision it postdates
+    late_report = dict(SAMPLE[2], date="2010-03-01")
+    events, _ = parse_events(lines_of([SAMPLE[0], SAMPLE[1], late_report, SAMPLE[3]]))
+    errors = validate_events(events)
+    assert len(errors) == 1 and "after its terminal decision" in errors[0].message
+    # same-day events on either boundary are allowed
+    same_day = [dict(SAMPLE[0]), dict(SAMPLE[1], date="2010-01-05"),
+                dict(SAMPLE[2], date="2010-02-25"), SAMPLE[3]]
+    events, _ = parse_events(lines_of(same_day))
+    assert validate_events(events) == []
 
 
 def test_corpus_raises_on_invalid_events():

@@ -6,11 +6,11 @@ import pytest
 
 from revnet.corpus import (Assignment, CitationRecord, Corpus, Decision,
                            Report, Submission)
-from revnet.features import (FEATURE_NAMES, NETWORK_FEATURES, SnapshotCache,
-                             assemble_matrix, citation_rank_targets,
-                             feature_vector, network_features,
-                             read_matrix_csv, supporting_features,
-                             write_matrix_csv)
+from revnet.features import (CSV_HEADER, FEATURE_NAMES, NETWORK_FEATURES,
+                             SnapshotCache, assemble_matrix,
+                             citation_rank_targets, feature_vector,
+                             network_features, read_matrix_csv,
+                             supporting_features, write_matrix_csv)
 
 from helpers import minimal_paper
 
@@ -120,6 +120,8 @@ def test_snapshot_cache_is_reused():
     b = network_features("pX", corpus, cache)
     assert np.array_equal(a, b)
     assert len(cache._tables) == 1
+    assert cache.stats() == {"snapshot_tables": 1, "nodes_max": 3,
+                             "pagerank_nonconverged": 0}
 
 
 # -- supporting features -----------------------------------------------------
@@ -222,4 +224,17 @@ def test_read_matrix_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("nope\n")
     with pytest.raises(ValueError):
+        read_matrix_csv(path)
+
+
+@pytest.mark.parametrize("row, fragment", [
+    ("p1,1.0,2.0\n", "line 3 has 3 cells, expected 17"),
+    ("p1," + ",".join(["1.0"] * 14) + ",0.5,20x0\n", "line 3: invalid literal"),
+    ("p1," + ",".join(["oops"] * 14) + ",0.5,2010\n", "line 3: could not convert"),
+])
+def test_read_matrix_rejects_malformed_rows(tmp_path, row, fragment):
+    path = tmp_path / "bad.csv"
+    good = "p0," + ",".join(["1.0"] * 14) + ",0.5,2010\n"
+    path.write_text(CSV_HEADER + "\n" + good + row)
+    with pytest.raises(ValueError, match=fragment):
         read_matrix_csv(path)

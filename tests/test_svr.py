@@ -180,6 +180,19 @@ def test_fit_rejects_nan_and_tiny_input():
         fit(np.array([[np.nan], [1.0]]), np.array([1.0, 2.0]), SvrConfig())
 
 
+def test_fit_and_cross_validate_reject_infinite_inputs():
+    X, y = random_problem(3, n=20)
+    bad_y = y.copy()
+    bad_y[3] = np.inf
+    bad_X = X.copy()
+    bad_X[5, 1] = -np.inf
+    for args in ((X, bad_y), (bad_X, y)):
+        with pytest.raises(ValueError, match="finite"):
+            fit(*args, SvrConfig())
+        with pytest.raises(ValueError, match="finite"):
+            cross_validate(*args, SvrConfig(), k=5, seed=0)
+
+
 def test_zero_variance_column_warns_not_crashes():
     rng = np.random.default_rng(1)
     X = np.hstack([rng.normal(size=(20, 1)), np.ones((20, 1))])

@@ -19,7 +19,7 @@ from . import centrality
 from .corpus import Corpus
 from .features import supporting_features
 from .review_graph import build_graph
-from .text_metrics import CATEGORIES, Lexicon, category_percentages, sentiment_score
+from .text_metrics import CATEGORIES, Lexicon, category_percentages
 
 HIGH_CITED_REJECTED_MIN = 20  # twice the rejected papers' average citation
 LOW_CITED_ACCEPTED_MAX = 10  # exclusive upper bound
@@ -144,8 +144,7 @@ class IrregularCase:
     first_round_report_length: Optional[float]
 
 
-def irregular_cases(corpus: Corpus, exposure_cutoff_year: int,
-                    lexicon: Optional[Lexicon] = None):
+def irregular_cases(corpus: Corpus, exposure_cutoff_year: int):
     """Highly cited rejected (>= 20) and low cited accepted (< 10) papers.
 
     Only papers decided strictly before the exposure cutoff year count, so
@@ -292,7 +291,7 @@ def run_all(corpus: Corpus, lexicon: Lexicon, out_dir,
          [[s.bucket, s.count, s.mean] for s in stats])
 
     # per-paper supporting features drive the remaining bucketed analyses
-    feats = {p: supporting_features(p, corpus, lexicon) for p in accepted}
+    feats = {p: supporting_features(p, corpus, lexicon) for p in accepted + rejected}
 
     def bucketed(feature_idx, width, name, label):
         vals, keys = [], []
@@ -333,7 +332,7 @@ def run_all(corpus: Corpus, lexicon: Lexicon, out_dir,
     # sentiment vs citations, one point per paper, grouped by decision year
     rows = []
     for p in accepted + rejected:
-        snt = feats[p][3] if p in feats else supporting_features(p, corpus, lexicon)[3]
+        snt = feats[p][3]
         rows.append([corpus.publication_year(p), p, corpus.outcome(p),
                      "" if np.isnan(snt) else float(snt), corpus.citations(p)])
     rows.sort(key=lambda r: (r[0], r[1]))

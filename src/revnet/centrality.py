@@ -39,16 +39,6 @@ class CentralityTable:
     pagerank: np.ndarray
     pagerank_converged: bool
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("node_id,degree,betweenness,closeness,clustering,pagerank\n")
-            for i, node in enumerate(self.nodes):
-                fh.write(f"{node},{int(self.degree[i])},"
-                         f"{float(self.betweenness[i])!r},"
-                         f"{float(self.closeness[i])!r},"
-                         f"{float(self.clustering[i])!r},"
-                         f"{float(self.pagerank[i])!r}\n")
-
 
 def degree(graph: ReviewGraph) -> np.ndarray:
     return np.array([len(a) for a in graph.adj], dtype=np.int64)
@@ -117,21 +107,11 @@ def _brandes_pass(graph: ReviewGraph):
     return bc, dist_sum, comp_size
 
 
-def betweenness(graph: ReviewGraph) -> np.ndarray:
-    bc, _, _ = _brandes_pass(graph)
-    return _normalize_betweenness(bc, graph.n)
-
-
 def _normalize_betweenness(raw: np.ndarray, n: int) -> np.ndarray:
     if n < 3:
         return np.zeros(n)
     # halve for the undirected double count, then scale by (n-1)(n-2)/2
     return raw / ((n - 1) * (n - 2))
-
-
-def closeness(graph: ReviewGraph) -> np.ndarray:
-    _, dist_sum, comp_size = _brandes_pass(graph)
-    return _closeness_from_sums(dist_sum, comp_size, graph.n)
 
 
 def _closeness_from_sums(dist_sum: np.ndarray, comp_size: np.ndarray,

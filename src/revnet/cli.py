@@ -17,8 +17,6 @@ import sys
 import time
 from typing import Optional
 
-import numpy as np
-
 from . import analysis, features, svr, synth
 from .corpus import Corpus, CorpusError, parse_events, validate_events, write_events
 from .features import FEATURE_NAMES, NETWORK_FEATURES
@@ -133,7 +131,11 @@ def cmd_train(args) -> int:
                                 seed=args.seed, feature_names=names)
     means = svr.column_means(X)
     model = svr.fit(svr.impute_columns(X, means), matrix.y, config, names)
+    model.impute_means = means
     svr.save_model(model, args.model_out)
+    fits = [{"iterations": d.iterations, "converged": d.converged,
+             "kkt_gap": d.kkt_gap, "n_support": d.n_support}
+            for d in report.fold_fits + [model.diagnostics]]
 
     print(f"pooled R2   {report.r2:.4f}")
     print(f"pooled RMSE {report.rmse:.4f}")
@@ -145,10 +147,7 @@ def cmd_train(args) -> int:
             "r2": report.r2, "rmse": report.rmse, "seed": report.seed,
             "fold_r2": report.fold_r2, "fold_rmse": report.fold_rmse,
             "f_stats": report.f_stats, "features": list(names),
-            "config": config.__dict__,
-            "fits": [{"iterations": d.iterations, "converged": d.converged,
-                      "kkt_gap": d.kkt_gap, "n_support": d.n_support}
-                     for d in report.fold_fits + [model.diagnostics]],
+            "config": config.__dict__, "fits": fits,
         }
         _atomic_write(args.report_out, json.dumps(doc, indent=2, sort_keys=True))
     _write_manifest(str(args.model_out) + ".manifest.json", "train",
@@ -157,7 +156,7 @@ def cmd_train(args) -> int:
                      "folds": args.folds, "network_only": args.network_only},
                     [args.features],
                     [args.model_out] + ([args.report_out] if args.report_out else []),
-                    args.seed, started)
+                    args.seed, started, {"fits": fits})
     return EXIT_OK
 
 
@@ -166,9 +165,7 @@ def cmd_predict(args) -> int:
     model = svr.load_model(args.model)
     matrix = features.read_matrix_csv(args.features)
     cols = [FEATURE_NAMES.index(n) for n in model.feature_names]
-    X = matrix.X[:, cols]
-    X = svr.impute_columns(X, svr.column_means(X))
-    preds = model.predict(X)
+    preds = model.predict(svr.impute_columns(matrix.X[:, cols], model.impute_means))
     lines = ["paper_id,prediction"]
     lines += [f"{pid},{float(p)!r}" for pid, p in zip(matrix.paper_ids, preds)]
     _atomic_write(args.out, "\n".join(lines) + "\n")

@@ -414,6 +414,3 @@ class Corpus:
             if a.date < as_of and (last is None or a.date > last):
                 last = a.date
         return ReviewerProfile(reviewer_id, accept, reject, last)
-
-    def reviewer_assignment_dates(self, reviewer_id: str) -> list[dt.date]:
-        return sorted(a.date for a in self._assignments_by_reviewer.get(reviewer_id, []))

@@ -18,6 +18,10 @@ The 14 regression features, in fixed column order:
 Every history-derived entry uses events strictly before the paper's
 submission date; undefined entries stay NaN with a parallel missing mask.
 Imputation happens at model time, never here.
+
+RL counts whitespace-separated words (``str.split()``) while SNT divides by
+the lexicon's ``[a-z]+`` tokens, so one report has two word counts.  Both
+are kept as they are because unifying them would change feature bytes.
 """
 
 from __future__ import annotations
@@ -46,9 +50,6 @@ class FeatureVector:
     paper_id: str
     values: np.ndarray  # length 14, NaN where missing
     missing: np.ndarray  # bool, parallel to FEATURE_NAMES
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(FEATURE_NAMES, (float(v) for v in self.values)))
 
 
 @dataclass(frozen=True)
@@ -130,14 +131,11 @@ def supporting_features(paper_id: str, corpus: Corpus, lexicon: Lexicon) -> np.n
     rl = _mean_or_nan([float(len(r.text.split())) for r in first_round])
     snt = _mean_or_nan([sentiment_score(r.text, lexicon) for r in first_round])
 
-    ratios = []
-    for author in sub.author_ids:
-        ratio = corpus.author_profile(author, as_of).acceptance_ratio
-        if ratio is not None:
-            ratios.append(ratio)
-    ar = _mean_or_nan(ratios)
+    profiles = [corpus.author_profile(a, as_of) for a in sub.author_ids]
+    ar = _mean_or_nan([p.acceptance_ratio for p in profiles
+                       if p.acceptance_ratio is not None])
 
-    ap_gap = corpus.author_profile(sub.author_ids[0], as_of).mean_inter_submission_gap
+    ap_gap = profiles[0].mean_inter_submission_gap
     ap = float(ap_gap) if ap_gap is not None else float("nan")
 
     reviewers = corpus.assigned_reviewers(paper_id)

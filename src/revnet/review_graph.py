@@ -3,13 +3,13 @@
 A snapshot collects the deduplicated (editor, reviewer) assignment pairs
 dated strictly before a cutoff.  The projection connects two reviewers iff
 they share at least one editor in the snapshot; it is an unweighted simple
-graph, with the shared-editor count kept only as side metadata.
+graph.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .corpus import Corpus
@@ -34,7 +34,6 @@ class ReviewGraph:
     cutoff: dt.date
     nodes: tuple[str, ...]
     adj: tuple[tuple[int, ...], ...]
-    shared_editor_counts: dict[tuple[int, int], int] = field(compare=False, default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -51,9 +50,6 @@ class ReviewGraph:
             cached = {r: i for i, r in enumerate(self.nodes)}
             self.__dict__["_index_cache"] = cached
         return cached
-
-    def degree(self, i: int) -> int:
-        return len(self.adj[i])
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
@@ -86,28 +82,16 @@ def project(snap: BipartiteSnapshot) -> ReviewGraph:
         by_editor.setdefault(editor, []).append(index[reviewer])
 
     neighbor_sets: list[set[int]] = [set() for _ in nodes]
-    counts: dict[tuple[int, int], int] = {}
     for members in by_editor.values():
         members.sort()
         for i, u in enumerate(members):
             for v in members[i + 1:]:
                 neighbor_sets[u].add(v)
                 neighbor_sets[v].add(u)
-                counts[(u, v)] = counts.get((u, v), 0) + 1
 
     adj = tuple(tuple(sorted(s)) for s in neighbor_sets)
-    return ReviewGraph(snap.cutoff, nodes, adj, counts)
+    return ReviewGraph(snap.cutoff, nodes, adj)
 
 
 def build_graph(corpus: Corpus, cutoff: dt.date = dt.date.max) -> ReviewGraph:
     return project(snapshot(corpus, cutoff))
-
-
-def export_edge_list(graph: ReviewGraph, edges_path, node_map_path) -> None:
-    """Edge list as ``u v`` index pairs plus an index -> reviewer-id map."""
-    with open(edges_path, "w", encoding="utf-8") as fh:
-        for u, v in graph.edges():
-            fh.write(f"{u} {v}\n")
-    with open(node_map_path, "w", encoding="utf-8") as fh:
-        for i, node in enumerate(graph.nodes):
-            fh.write(f"{i} {node}\n")

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,7 @@ class SvrModel:
     scaler_mean: np.ndarray
     scaler_std: np.ndarray
     feature_names: tuple[str, ...]
+    impute_means: np.ndarray  # fills NaN cells of rows to predict
     diagnostics: Optional[FitDiagnostics] = field(default=None, compare=False)
 
     def predict(self, rows: np.ndarray) -> np.ndarray:
@@ -182,7 +183,9 @@ def fit(X: np.ndarray, y: np.ndarray, config: SvrConfig,
         feature_names: Optional[tuple[str, ...]] = None) -> SvrModel:
     """Standardize, solve the dual, and package the model.
 
-    ``X`` must be fully imputed and finite, with at least 2 rows.
+    ``X`` must be fully imputed and finite, with at least 2 rows.  The
+    model's ``impute_means`` start as ``X``'s column means; a caller that
+    imputed ``X`` itself stores the means it used.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -217,6 +220,7 @@ def fit(X: np.ndarray, y: np.ndarray, config: SvrConfig,
         scaler_mean=mean,
         scaler_std=std,
         feature_names=tuple(feature_names),
+        impute_means=mean,
         diagnostics=FitDiagnostics(iters, converged, gap, beta, int(keep.sum())),
     )
     return model
@@ -365,6 +369,7 @@ def save_model(model: SvrModel, path) -> None:
         "feature_names": list(model.feature_names),
         "scaler_mean": model.scaler_mean.tolist(),
         "scaler_std": model.scaler_std.tolist(),
+        "impute_means": model.impute_means.tolist(),
         "support_vectors": model.support_vectors.tolist(),
         "dual_coefs": model.dual_coefs.tolist(),
         "bias": model.bias,
@@ -381,13 +386,16 @@ def load_model(path) -> SvrModel:
     if not isinstance(doc, dict):
         raise ValueError(f"malformed model file {path}: not a JSON object")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format: {doc.get('format_version')!r}")
+        raise ValueError(f"unsupported model format version "
+                         f"{doc.get('format_version')!r}, expected "
+                         f"{MODEL_FORMAT_VERSION}; retrain the model")
     try:
         names = tuple(doc["feature_names"])
         sv = np.array(doc["support_vectors"], dtype=np.float64)
         coefs = np.array(doc["dual_coefs"], dtype=np.float64)
         mean = np.array(doc["scaler_mean"], dtype=np.float64)
         std = np.array(doc["scaler_std"], dtype=np.float64)
+        impute = np.array(doc["impute_means"], dtype=np.float64)
         bias = float(doc["bias"])
         config = SvrConfig(**doc["config"])
     except (KeyError, TypeError) as exc:
@@ -401,7 +409,8 @@ def load_model(path) -> SvrModel:
     if coefs.ndim != 1 or len(coefs) != len(sv):
         raise ValueError(f"model has {len(sv)} support vectors but "
                          f"{coefs.size} dual coefficients")
-    for label, arr in (("scaler_mean", mean), ("scaler_std", std)):
+    for label, arr in (("scaler_mean", mean), ("scaler_std", std),
+                       ("impute_means", impute)):
         if arr.shape != (n_feat,):
             raise ValueError(f"model {label} has shape {arr.shape}, "
                              f"expected ({n_feat},)")
@@ -415,4 +424,5 @@ def load_model(path) -> SvrModel:
         scaler_mean=mean,
         scaler_std=std,
         feature_names=names,
+        impute_means=impute,
     )

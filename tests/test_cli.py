@@ -111,6 +111,8 @@ def test_features_train_predict_pipeline(workspace, capsys):
         assert set(fit) == {"iterations", "converged", "kkt_gap", "n_support"}
         assert fit["converged"] and fit["kkt_gap"] <= 1e-3
     assert doc["fits"][-1]["n_support"] == len(json.loads(model.read_text())["dual_coefs"])
+    manifest = json.loads((workspace / "model.json.manifest.json").read_text())
+    assert manifest["fits"] == doc["fits"]  # same keys, checked above
 
     preds = workspace / "preds.csv"
     code, out, _ = run(capsys, "predict", str(model), str(feat_csv), str(preds))
@@ -163,7 +165,7 @@ def feature_row(pid, cells, target="0.5", year="2010"):
 
 def test_train_rejects_infinite_cell_before_fitting(tmp_path, capsys, monkeypatch):
     rng = np.random.default_rng(2)
-    rows = [feature_row(f"p{i}", [repr(v) for v in rng.normal(size=14)])
+    rows = [feature_row(f"p{i}", [str(v) for v in rng.normal(size=14)])
             for i in range(12)]
     rows[4] = feature_row("p4", ["inf"] + ["1.0"] * 13)
     feat_csv = tmp_path / "features.csv"
@@ -193,6 +195,29 @@ def test_truncated_feature_row_is_usage_error(tmp_path, capsys):
         assert "line 3 has 3 cells, expected 17" in err and "Traceback" not in err
 
 
+def test_prediction_does_not_depend_on_the_batch(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    train_csv = tmp_path / "train.csv"
+    write_features(train_csv, [feature_row(f"t{i}", [str(v) for v in rng.normal(size=14)],
+                                           target=str(rng.normal()))
+                               for i in range(30)])
+    model = tmp_path / "model.json"
+    assert main(["train", str(train_csv), str(model), "--folds", "3"]) == EXIT_OK
+    probe = feature_row("probe", ["nan"] + ["0.5"] * 13)
+    others = [feature_row(f"b{i}", [str(v) for v in rng.normal(3.0, 1.0, size=14)])
+              for i in range(5)]
+    scores = []
+    for name, rows in (("alone", [probe]), ("batch", others[:2] + [probe] + others[2:])):
+        batch_csv, preds = tmp_path / f"{name}.csv", tmp_path / f"{name}.preds.csv"
+        write_features(batch_csv, rows)
+        code, out, err = run(capsys, "predict", str(model), str(batch_csv), str(preds))
+        assert code == EXIT_OK, err
+        scores.append(float(dict(line.split(",") for line in
+                                 preds.read_text().splitlines()[1:])["probe"]))
+    # the kernel products may round differently per batch shape, in the last bits
+    assert scores[0] == pytest.approx(scores[1], rel=1e-12, abs=1e-12)
+
+
 def test_train_rejects_nonfinite_hyperparameter(workspace, capsys):
     code, out, err = run(capsys, "train", str(workspace / "absent.csv"),
                          str(workspace / "never.json"), "--gamma", "nan")
@@ -204,6 +229,7 @@ def test_train_rejects_nonfinite_hyperparameter(workspace, capsys):
     lambda doc: doc["dual_coefs"].pop(),
     lambda doc: doc["scaler_std"].pop(),
     lambda doc: doc.update(bias=math.inf),
+    lambda doc: doc["impute_means"].append(0.0),
 ])
 def test_predict_rejects_tampered_model(tmp_path, capsys, tamper):
     rng = np.random.default_rng(0)

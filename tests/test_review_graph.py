@@ -2,8 +2,7 @@ import datetime as dt
 import random
 
 from revnet.corpus import Assignment, Corpus, Submission
-from revnet.review_graph import (build_graph, export_edge_list, project,
-                                 snapshot)
+from revnet.review_graph import build_graph, project, snapshot
 
 from helpers import brute_projection_edges, random_assignment_events
 
@@ -38,8 +37,7 @@ def test_projection_edges_and_metadata():
     graph = build_graph(corpus, D(2011, 1, 1))
     assert graph.nodes == ("rA", "rB", "rC")
     assert graph.edges() == [(0, 1), (1, 2)]  # rA-rB via e1, rB-rC via e2
-    assert graph.degree(1) == 2
-    assert graph.shared_editor_counts == {(0, 1): 1, (1, 2): 1}
+    assert len(graph.adj[1]) == 2
     assert graph.index_of("rB") == 1 and graph.index_of("zz") is None
 
 
@@ -53,7 +51,6 @@ def test_duplicate_assignments_do_not_weight_edges():
     ]
     graph = build_graph(Corpus(events))
     assert graph.edges() == [(0, 1)]
-    assert graph.shared_editor_counts == {(0, 1): 1}
 
 
 def test_isolated_reviewers_stay_as_nodes():
@@ -79,7 +76,6 @@ def test_graph_is_independent_of_event_order():
         shuffled = build_graph(Corpus(subs + rest))
         assert shuffled.nodes == reference.nodes
         assert shuffled.adj == reference.adj
-        assert shuffled.shared_editor_counts == reference.shared_editor_counts
 
 
 def test_projection_matches_brute_force_on_random_corpora():
@@ -95,11 +91,3 @@ def test_projection_matches_brute_force_on_random_corpora():
         got = {(graph.nodes[u], graph.nodes[v]) for u, v in graph.edges()}
         assert got == brute_projection_edges(snap)
 
-
-def test_export_edge_list(tmp_path):
-    graph = build_graph(two_editor_corpus(), D(2011, 1, 1))
-    edges_path = tmp_path / "edges.txt"
-    map_path = tmp_path / "nodes.txt"
-    export_edge_list(graph, edges_path, map_path)
-    assert edges_path.read_text().splitlines() == ["0 1", "1 2"]
-    assert map_path.read_text().splitlines() == ["0 rA", "1 rB", "2 rC"]

@@ -299,6 +299,7 @@ def test_model_round_trip_is_bit_exact(tmp_path):
     loaded = load_model(path)
     assert loaded.feature_names == ("a", "b", "c", "d")
     assert loaded.config == config
+    assert loaded.impute_means.tobytes() == model.impute_means.tobytes()
     assert np.array_equal(loaded.predict(X), model.predict(X))
 
 
@@ -307,6 +308,15 @@ def test_load_model_rejects_unknown_version(tmp_path):
     path.write_text(json.dumps({"format_version": 99}))
     with pytest.raises(ValueError):
         load_model(path)
+    # a version-1 model has no imputation means
+    X, y = random_problem(10)
+    save_model(fit(X, y, SvrConfig(C=10.0, gamma=0.5)), path)
+    doc = json.loads(path.read_text())
+    doc["format_version"] = 1
+    del doc["impute_means"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="format version 1"):
+        load_model(path)
 
 
 def tampered_models():
@@ -314,6 +324,8 @@ def tampered_models():
     yield "support vectors", lambda doc: [row.append(0.5) for row in doc["support_vectors"]]
     yield "scaler_mean", lambda doc: doc["scaler_mean"].pop()
     yield "scaler_std", lambda doc: doc["scaler_std"].append(1.0)
+    yield "impute_means", lambda doc: doc["impute_means"].pop()
+    yield "malformed", lambda doc: doc.pop("impute_means")
     yield "bias", lambda doc: doc.update(bias=math.nan)
     yield "bias", lambda doc: doc.update(bias=math.inf)
     yield "malformed", lambda doc: doc.pop("scaler_std")

@@ -89,12 +89,11 @@ def test_reviewer_hub_scores_reach_the_projection():
     config = SynthConfig(seed=6, papers_per_year=200, n_years=3)
     events = generate(config)
     truth = ground_truth(config, events)
+    from revnet.centrality import degree
     from revnet.review_graph import build_graph
     graph = build_graph(Corpus(events))
-    hubs, degs = [], []
-    for i, node in enumerate(graph.nodes):
-        hubs.append(truth.hub_scores.get(node, 0))
-        degs.append(graph.degree(i))
+    hubs = [truth.hub_scores.get(node, 0) for node in graph.nodes]
+    degs = degree(graph).tolist()
     assert spearman(hubs, degs) > 0.7
 
 

@@ -2,7 +2,7 @@ import pytest
 
 from revnet.text_metrics import (CATEGORIES, LEXICON_DIR_ENV, Lexicon,
                                  category_percentages, load_lexicon,
-                                 score_text, sentiment_score, tokenize)
+                                 sentiment_score, tokenize)
 
 
 def test_tokenize_lowercases_and_splits_on_non_letters():
@@ -39,16 +39,6 @@ def test_category_percentages():
     assert pct["insight"] == pytest.approx(20.0)
     assert pct["future_tense"] == 0.0
     assert set(pct) == set(CATEGORIES)
-
-
-def test_score_text_combines_both():
-    lex = small_lexicon()
-    score = score_text("good not bad", lex)
-    assert score.token_count == 3
-    assert score.sentiment == 0.0
-    assert score.category_pct["negation"] == pytest.approx(100 / 3)
-    empty = score_text("", lex)
-    assert empty.token_count == 0 and empty.sentiment == 0.0
 
 
 def test_overlapping_polarity_lists_rejected():

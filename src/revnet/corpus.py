@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Optional, Union
 
 TERMINAL_OUTCOMES = ("accept", "reject", "withdraw")
@@ -292,12 +294,51 @@ class ReviewerProfile:
         return self.accept_count / decided
 
 
+@dataclass(frozen=True)
+class _History:
+    """One person's dated history, sorted once for as-of queries.
+
+    ``dates`` are the person's own event dates (an author's submissions, a
+    reviewer's assignments), ascending.  ``decision_dates`` are the accept
+    and reject decisions of their papers, ascending, and ``accepts[i]``
+    counts the accepts among the first ``i`` of them.  ``bisect_left`` at an
+    as-of date counts exactly the entries strictly before it.
+    """
+
+    dates: tuple[dt.date, ...]
+    decision_dates: tuple[dt.date, ...]
+    accepts: tuple[int, ...]
+
+    @classmethod
+    def index(cls, dates: Iterable[dt.date], paper_ids: Iterable[str],
+              decisions: dict[str, Decision]) -> "_History":
+        """``paper_ids`` may repeat a paper, which then counts again."""
+        decided = sorted((dec.date, dec.outcome == "accept")
+                         for dec in map(decisions.get, paper_ids)
+                         if dec is not None and dec.outcome in ("accept", "reject"))
+        return cls(tuple(sorted(dates)), tuple(d for d, _ in decided),
+                   tuple(accumulate((a for _, a in decided), initial=0)))
+
+    def decided_before(self, as_of: dt.date) -> tuple[int, int]:
+        """(accept, reject) counts of decisions dated strictly before ``as_of``."""
+        k = bisect_left(self.decision_dates, as_of)
+        return self.accepts[k], k - self.accepts[k]
+
+
+_NO_HISTORY = _History((), (), (0,))
+
+
 class Corpus:
     """Validated, indexed event log.  Immutable after construction.
 
     Withdrawn papers are excluded from every accept/reject ratio, both
     numerator and denominator.  Undefined ratios (no decided papers) stay
     ``None``; imputation is a modeling concern, not a corpus one.
+
+    Each author's and reviewer's history is indexed once, here, so a profile
+    query is a few binary searches rather than a rescan of the history.  An
+    author listed twice on a paper counts it twice; a reviewer counts each
+    reported paper once, however many rounds they reported on it.
     """
 
     def __init__(self, events: list[ReviewEvent]):
@@ -311,29 +352,37 @@ class Corpus:
         self.reports: dict[str, list[Report]] = {}
         self.decisions: dict[str, Decision] = {}
         self.citation_records: dict[str, CitationRecord] = {}
-        self._papers_by_author: dict[str, list[str]] = {}
-        self._assignments_by_reviewer: dict[str, list[Assignment]] = {}
-        self._reported_papers: dict[str, list[str]] = {}
+        papers_by_author: dict[str, list[str]] = {}
+        assigned_by_reviewer: dict[str, list[dt.date]] = {}
+        reported_by_reviewer: dict[str, set[str]] = {}
 
         for ev in events:
             if isinstance(ev, Submission):
                 self.submissions[ev.paper_id] = ev
                 for author in ev.author_ids:
-                    self._papers_by_author.setdefault(author, []).append(ev.paper_id)
+                    papers_by_author.setdefault(author, []).append(ev.paper_id)
             elif isinstance(ev, Assignment):
                 self.assignments.setdefault(ev.paper_id, []).append(ev)
-                self._assignments_by_reviewer.setdefault(ev.reviewer_id, []).append(ev)
+                assigned_by_reviewer.setdefault(ev.reviewer_id, []).append(ev.date)
             elif isinstance(ev, Report):
                 self.reports.setdefault(ev.paper_id, []).append(ev)
-                seen = self._reported_papers.setdefault(ev.reviewer_id, [])
-                if ev.paper_id not in seen:
-                    seen.append(ev.paper_id)
+                reported_by_reviewer.setdefault(ev.reviewer_id, set()).add(ev.paper_id)
             elif isinstance(ev, Decision):
                 self.decisions[ev.paper_id] = ev
             elif isinstance(ev, CitationRecord):
                 current = self.citation_records.get(ev.paper_id)
                 if current is None or ev.date >= current.date:
                     self.citation_records[ev.paper_id] = ev
+
+        # decisions may come after the events they close, so index last
+        self._author_history = {
+            author: _History.index([self.submissions[p].date for p in pids],
+                                   pids, self.decisions)
+            for author, pids in papers_by_author.items()}
+        self._reviewer_history = {
+            rid: _History.index(assigned_by_reviewer.get(rid, []),
+                                reported_by_reviewer.get(rid, ()), self.decisions)
+            for rid in assigned_by_reviewer.keys() | reported_by_reviewer.keys()}
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "Corpus":
@@ -379,38 +428,18 @@ class Corpus:
     # -- as-of-date profiles ------------------------------------------------
 
     def author_profile(self, author_id: str, as_of: dt.date) -> AuthorProfile:
-        accept = reject = 0
-        sub_dates: list[dt.date] = []
-        for pid in self._papers_by_author.get(author_id, []):
-            sub = self.submissions[pid]
-            if sub.date < as_of:
-                sub_dates.append(sub.date)
-            dec = self.decisions.get(pid)
-            if dec is None or dec.date >= as_of:
-                continue
-            if dec.outcome == "accept":
-                accept += 1
-            elif dec.outcome == "reject":
-                reject += 1
-        sub_dates.sort()
+        hist = self._author_history.get(author_id, _NO_HISTORY)
+        accept, reject = hist.decided_before(as_of)
+        sub_dates = hist.dates[:bisect_left(hist.dates, as_of)]
         gap: Optional[float] = None
         if len(sub_dates) >= 2:
             total = (sub_dates[-1] - sub_dates[0]).days
             gap = total / (len(sub_dates) - 1)
-        return AuthorProfile(author_id, accept, reject, tuple(sub_dates), gap)
+        return AuthorProfile(author_id, accept, reject, sub_dates, gap)
 
     def reviewer_profile(self, reviewer_id: str, as_of: dt.date) -> ReviewerProfile:
-        accept = reject = 0
-        for pid in self._reported_papers.get(reviewer_id, []):
-            dec = self.decisions.get(pid)
-            if dec is None or dec.date >= as_of:
-                continue
-            if dec.outcome == "accept":
-                accept += 1
-            elif dec.outcome == "reject":
-                reject += 1
-        last: Optional[dt.date] = None
-        for a in self._assignments_by_reviewer.get(reviewer_id, []):
-            if a.date < as_of and (last is None or a.date > last):
-                last = a.date
+        hist = self._reviewer_history.get(reviewer_id, _NO_HISTORY)
+        accept, reject = hist.decided_before(as_of)
+        k = bisect_left(hist.dates, as_of)
+        last = hist.dates[k - 1] if k else None
         return ReviewerProfile(reviewer_id, accept, reject, last)

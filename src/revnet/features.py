@@ -27,6 +27,7 @@ are kept as they are because unifying them would change feature bytes.
 from __future__ import annotations
 
 import datetime as dt
+import os
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Optional
@@ -60,33 +61,37 @@ class TargetValue:
 
 
 class SnapshotCache:
-    """Per-cutoff-date graph + centrality tables, shared across papers.
+    """Per-cutoff-date graphs and one centrality table per distinct graph.
 
-    Read-only once built for a date; papers submitted on the same day reuse
-    the same snapshot.
+    Papers submitted on the same day reuse that day's snapshot, and dates
+    whose projection came out the same (same ``nodes`` and ``adj``) share one
+    table, so centralities are computed once per distinct graph.
     """
 
     def __init__(self, corpus: Corpus):
         self.corpus = corpus
-        self._tables: dict[dt.date, tuple] = {}
+        self._snapshots: dict[dt.date, tuple] = {}
+        self._tables: dict[tuple, centrality.CentralityTable] = {}
 
     def table(self, cutoff: dt.date):
-        hit = self._tables.get(cutoff)
+        hit = self._snapshots.get(cutoff)
         if hit is None:
             graph = build_graph(self.corpus, cutoff)
-            table = centrality.compute_table(graph)
-            hit = (graph, table)
-            self._tables[cutoff] = hit
+            key = (graph.nodes, graph.adj)
+            table = self._tables.get(key)
+            if table is None:
+                table = self._tables[key] = centrality.compute_table(graph)
+            hit = self._snapshots[cutoff] = (graph, table)
         return hit
 
     def stats(self) -> dict:
-        """Counters over the snapshot tables built so far."""
-        built = self._tables.values()
+        """Counters over the snapshot dates and tables built so far."""
         return {
+            "snapshot_dates": len(self._snapshots),
             "snapshot_tables": len(self._tables),
-            "nodes_max": max((graph.n for graph, _ in built), default=0),
+            "nodes_max": max((len(nodes) for nodes, _ in self._tables), default=0),
             "pagerank_nonconverged": sum(not table.pagerank_converged
-                                         for _, table in built),
+                                         for table in self._tables.values()),
         }
 
 
@@ -275,7 +280,11 @@ def write_matrix_csv(matrix: AssembledMatrix, path) -> None:
 
 def read_matrix_csv(path) -> AssembledMatrix:
     """Inverse of :func:`write_matrix_csv`; a row with the wrong cell count
-    or an unparsable cell raises ``ValueError`` naming its line."""
+    or an unparsable cell raises ``ValueError`` naming its line.
+
+    When ``<path>.missing`` exists it must equal ``isnan(X)`` cell for cell,
+    with the same header and paper ids; a CSV without a mask is accepted.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
@@ -297,4 +306,25 @@ def read_matrix_csv(path) -> AssembledMatrix:
             ys.append(target)
             years.append(year)
     X = np.array(rows) if rows else np.zeros((0, len(FEATURE_NAMES)))
-    return AssembledMatrix(tuple(ids), X, np.isnan(X), np.array(ys), tuple(years))
+    missing = np.isnan(X)
+    mask_path = str(path) + ".missing"
+    if os.path.exists(mask_path):
+        _check_mask(mask_path, ids, missing)
+    return AssembledMatrix(tuple(ids), X, missing, np.array(ys), tuple(years))
+
+
+def _check_mask(path, ids: list[str], missing: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first line of the mask file at ``path``
+    that disagrees with the paper ids or with the NaN cells of the matrix."""
+    expected = ["paper_id," + ",".join(FEATURE_NAMES)]
+    expected += [pid + "," + ",".join("1" if m else "0" for m in row)
+                 for pid, row in zip(ids, missing)]
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [line.strip() for line in fh]
+    for lineno, (got, want) in enumerate(zip(lines, expected), start=1):
+        if got != want:
+            raise ValueError(f"{path}: line {lineno} is {got!r}, expected {want!r} "
+                             f"from the feature CSV")
+    if len(lines) != len(expected):
+        raise ValueError(f"{path}: {len(lines)} lines, expected {len(expected)} "
+                         f"from the feature CSV")

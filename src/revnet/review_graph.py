@@ -51,9 +51,6 @@ class ReviewGraph:
             self.__dict__["_index_cache"] = cached
         return cached
 
-    def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
-
 
 def snapshot(corpus: Corpus, cutoff: dt.date = dt.date.max) -> BipartiteSnapshot:
     """Assignment pairs dated strictly before ``cutoff``."""

@@ -81,10 +81,15 @@ class SvrModel:
             raise ValueError(
                 f"expected {len(self.feature_names)} columns, got {rows.shape[1]}")
         Z = (rows - self.scaler_mean) / self.scaler_std
-        if len(self.dual_coefs) == 0:
-            return np.full(len(Z), self.bias)
-        K = _rbf(Z, self.support_vectors, self.config.gamma)
-        return K @ self.dual_coefs + self.bias
+        # one row at a time, with an exactly rounded sum, so that a row's
+        # score does not depend on the other rows in the batch
+        sv, coefs, gamma = self.support_vectors, self.dual_coefs, self.config.gamma
+        out = np.empty(len(Z))
+        for i, z in enumerate(Z):
+            d = sv - z
+            k = np.exp(-gamma * np.einsum("ij,ij->i", d, d))
+            out[i] = math.fsum((k * coefs).tolist()) + self.bias
+        return out
 
 
 def _rbf(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:

@@ -14,8 +14,8 @@ from collections import deque
 
 import numpy as np
 
-from revnet.corpus import (Assignment, CitationRecord, Decision, Report,
-                           Submission)
+from revnet.corpus import (Assignment, AuthorProfile, CitationRecord, Corpus,
+                           Decision, Report, ReviewerProfile, Submission)
 from revnet.review_graph import ReviewGraph
 
 FAR_FUTURE = dt.date(2100, 1, 1)
@@ -39,6 +39,11 @@ def random_graph(rng: random.Random, n: int, p: float) -> ReviewGraph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < p]
     return graph_from_edges(n, edges)
+
+
+def graph_edges(graph: ReviewGraph) -> list[tuple[int, int]]:
+    """Each undirected edge once, as (u, v) with u < v, in index order."""
+    return [(u, v) for u in range(graph.n) for v in graph.adj[u] if u < v]
 
 
 def adjacency_matrix(graph: ReviewGraph) -> np.ndarray:
@@ -218,6 +223,62 @@ def reference_clustering(graph: ReviewGraph) -> np.ndarray:
                     links += 1
         out[v] = 2.0 * links / (k * (k - 1))
     return out
+
+
+# -- reference forms of the as-of profiles ----------------------------------
+
+
+def reference_author_profile(corpus: Corpus, author_id: str,
+                             as_of: dt.date) -> AuthorProfile:
+    """Rescan form of ``Corpus.author_profile``: every paper the author is
+    listed on (once per listing), checked against ``as_of`` on each query."""
+    papers = [ev.paper_id for ev in corpus.events if isinstance(ev, Submission)
+              for author in ev.author_ids if author == author_id]
+    accept = reject = 0
+    sub_dates: list[dt.date] = []
+    for pid in papers:
+        sub = corpus.submissions[pid]
+        if sub.date < as_of:
+            sub_dates.append(sub.date)
+        dec = corpus.decisions.get(pid)
+        if dec is None or dec.date >= as_of:
+            continue
+        if dec.outcome == "accept":
+            accept += 1
+        elif dec.outcome == "reject":
+            reject += 1
+    sub_dates.sort()
+    gap = None
+    if len(sub_dates) >= 2:
+        total = (sub_dates[-1] - sub_dates[0]).days
+        gap = total / (len(sub_dates) - 1)
+    return AuthorProfile(author_id, accept, reject, tuple(sub_dates), gap)
+
+
+def reference_reviewer_profile(corpus: Corpus, reviewer_id: str,
+                               as_of: dt.date) -> ReviewerProfile:
+    """Rescan form of ``Corpus.reviewer_profile``: the distinct papers the
+    reviewer reported on and all their assignments, on each query."""
+    reported: list[str] = []
+    for ev in corpus.events:
+        if isinstance(ev, Report) and ev.reviewer_id == reviewer_id \
+                and ev.paper_id not in reported:
+            reported.append(ev.paper_id)
+    accept = reject = 0
+    for pid in reported:
+        dec = corpus.decisions.get(pid)
+        if dec is None or dec.date >= as_of:
+            continue
+        if dec.outcome == "accept":
+            accept += 1
+        elif dec.outcome == "reject":
+            reject += 1
+    last = None
+    for ev in corpus.events:
+        if isinstance(ev, Assignment) and ev.reviewer_id == reviewer_id \
+                and ev.date < as_of and (last is None or ev.date > last):
+            last = ev.date
+    return ReviewerProfile(reviewer_id, accept, reject, last)
 
 
 # -- corpus builders ---------------------------------------------------------

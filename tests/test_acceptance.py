@@ -26,7 +26,7 @@ from revnet.review_graph import project, snapshot
 from revnet.synth import SynthConfig, generate
 from revnet.text_metrics import load_lexicon
 
-from helpers import (brute_projection_edges, graph_from_edges,
+from helpers import (brute_projection_edges, graph_edges, graph_from_edges,
                      oracle_betweenness, oracle_closeness, oracle_clustering,
                      random_assignment_events, random_graph)
 
@@ -97,7 +97,7 @@ def test_criterion_03_projection_matches_brute_force():
         cutoff = dt.date(2010, 1, 1) + dt.timedelta(days=rng.randrange(0, 800))
         snap = snapshot(corpus, cutoff)
         graph = project(snap)
-        got = {(graph.nodes[u], graph.nodes[v]) for u, v in graph.edges()}
+        got = {(graph.nodes[u], graph.nodes[v]) for u, v in graph_edges(graph)}
         assert got == brute_projection_edges(snap)
     report(3, "100 corpora projected exactly")
 

@@ -92,8 +92,10 @@ def test_features_train_predict_pipeline(workspace, capsys):
     manifest = json.loads((feat_dir / "features.manifest.json").read_text())
     assert manifest["inputs"]["events.jsonl"] == sha256(log)
     stats = manifest["centrality"]
-    assert set(stats) == {"snapshot_tables", "nodes_max", "pagerank_nonconverged"}
-    assert stats["snapshot_tables"] > 0 and stats["nodes_max"] > 0
+    assert set(stats) == {"snapshot_dates", "snapshot_tables", "nodes_max",
+                          "pagerank_nonconverged"}
+    assert stats["snapshot_dates"] >= stats["snapshot_tables"] > 0
+    assert stats["nodes_max"] > 0
     assert stats["pagerank_nonconverged"] == 0
 
     model = workspace / "model.json"
@@ -195,6 +197,31 @@ def test_truncated_feature_row_is_usage_error(tmp_path, capsys):
         assert "line 3 has 3 cells, expected 17" in err and "Traceback" not in err
 
 
+def test_flipped_missing_mask_cell_is_usage_error(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(12, 14))
+    X[5, 3] = np.nan
+    matrix = features.AssembledMatrix(tuple(f"p{i}" for i in range(12)), X,
+                                      np.isnan(X), rng.normal(size=12), (2010,) * 12)
+    feat_csv = tmp_path / "features.csv"
+    features.write_matrix_csv(matrix, feat_csv)
+    mask = tmp_path / "features.csv.missing"
+    lines = mask.read_text().splitlines(keepends=True)
+    assert lines[6].startswith("p5,0,0,0,1,0")
+    lines[6] = lines[6].replace("p5,0,0,0,1,", "p5,0,0,0,0,", 1)
+    mask.write_text("".join(lines))
+    model = tmp_path / "model.json"
+    svr.save_model(svr.fit(np.nan_to_num(X), matrix.y, svr.SvrConfig(),
+                           features.FEATURE_NAMES), model)
+    for argv in (["train", str(feat_csv), str(tmp_path / "never.json"), "--folds", "3"],
+                 ["predict", str(model), str(feat_csv), str(tmp_path / "preds.csv")]):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE, argv
+        assert "features.csv.missing: line 7 is" in err and "Traceback" not in err
+    assert not (tmp_path / "never.json").exists()
+    assert not (tmp_path / "preds.csv").exists()
+
+
 def test_prediction_does_not_depend_on_the_batch(tmp_path, capsys):
     rng = np.random.default_rng(3)
     train_csv = tmp_path / "train.csv"
@@ -214,8 +241,7 @@ def test_prediction_does_not_depend_on_the_batch(tmp_path, capsys):
         assert code == EXIT_OK, err
         scores.append(float(dict(line.split(",") for line in
                                  preds.read_text().splitlines()[1:])["probe"]))
-    # the kernel products may round differently per batch shape, in the last bits
-    assert scores[0] == pytest.approx(scores[1], rel=1e-12, abs=1e-12)
+    assert scores[0] == scores[1]
 
 
 def test_train_rejects_nonfinite_hyperparameter(workspace, capsys):

@@ -7,7 +7,8 @@ from revnet.corpus import (Assignment, CitationRecord, Corpus, CorpusError,
                            Decision, Report, Submission, event_to_record,
                            parse_events, validate_events, write_events)
 
-from helpers import minimal_paper
+from helpers import (minimal_paper, reference_author_profile,
+                     reference_reviewer_profile)
 
 D = dt.date
 
@@ -236,3 +237,64 @@ def test_reviewer_profile_counts_reported_papers_not_assignments():
     corpus = Corpus(events)
     assert corpus.reviewer_profile("rB", D(2012, 1, 1)).accept_ratio is None
     assert corpus.assigned_reviewers("p1") == ["rA", "rB"]
+
+
+def edge_case_corpus():
+    """a1 is listed twice on p1; r1 reports on p1 in two rounds; p2 is
+    withdrawn and p3 undecided; p4 is a2's rejected paper."""
+    return Corpus([
+        Submission("p1", D(2010, 1, 1), ("a1", "a1", "a2"), ""),
+        Assignment("p1", D(2010, 1, 5), "e1", "r1", 1),
+        Report("p1", D(2010, 2, 1), "r1", 1, "fine", "revise"),
+        Assignment("p1", D(2010, 2, 10), "e1", "r1", 2),
+        Report("p1", D(2010, 3, 1), "r1", 2, "fine", "accept"),
+        Decision("p1", D(2010, 3, 10), "accept", 2),
+        Submission("p2", D(2010, 4, 1), ("a1",), ""),
+        Assignment("p2", D(2010, 4, 5), "e1", "r1", 1),
+        Report("p2", D(2010, 5, 1), "r1", 1, "fine", "accept"),
+        Decision("p2", D(2010, 5, 10), "withdraw", 1),
+        Submission("p3", D(2010, 6, 1), ("a1",), ""),
+        Assignment("p3", D(2010, 6, 3), "e1", "r1", 1),
+        Report("p3", D(2010, 6, 20), "r1", 1, "fine", "reject"),
+        Submission("p4", D(2010, 7, 1), ("a2",), ""),
+        Assignment("p4", D(2010, 7, 2), "e1", "r1", 1),
+        Report("p4", D(2010, 7, 15), "r1", 1, "weak", "reject"),
+        Decision("p4", D(2010, 8, 1), "reject", 1),
+    ])
+
+
+@pytest.mark.parametrize("author, as_of, counts, dates, gap", [
+    ("a1", D(2000, 1, 1), (0, 0), (), None),  # before the first event
+    ("a1", D(2010, 1, 1), (0, 0), (), None),  # on a submission date
+    ("a1", D(2010, 1, 2), (0, 0), (D(2010, 1, 1),) * 2, 0.0),  # listed twice
+    ("a1", D(2010, 3, 10), (0, 0), (D(2010, 1, 1),) * 2, 0.0),  # on a decision
+    ("a1", D(2010, 3, 11), (2, 0), (D(2010, 1, 1),) * 2, 0.0),
+    ("a1", D(2020, 1, 1), (2, 0),  # withdrawn p2 and undecided p3 not counted
+     (D(2010, 1, 1), D(2010, 1, 1), D(2010, 4, 1), D(2010, 6, 1)), 151 / 3),
+    ("a2", D(2020, 1, 1), (1, 1), (D(2010, 1, 1), D(2010, 7, 1)), 181.0),
+    ("zz", D(2020, 1, 1), (0, 0), (), None),  # unknown id
+])
+def test_author_profile_edge_cases(author, as_of, counts, dates, gap):
+    corpus = edge_case_corpus()
+    prof = corpus.author_profile(author, as_of)
+    assert (prof.accept_count, prof.reject_count) == counts
+    assert prof.submission_dates == dates
+    assert prof.mean_inter_submission_gap == gap
+    assert prof == reference_author_profile(corpus, author, as_of)
+
+
+@pytest.mark.parametrize("reviewer, as_of, counts, last", [
+    ("r1", D(2000, 1, 1), (0, 0), None),  # before the first event
+    ("r1", D(2010, 1, 5), (0, 0), None),  # on an assignment date
+    ("r1", D(2010, 1, 6), (0, 0), D(2010, 1, 5)),
+    ("r1", D(2010, 3, 10), (0, 0), D(2010, 2, 10)),  # on a decision date
+    ("r1", D(2010, 3, 11), (1, 0), D(2010, 2, 10)),  # two rounds count once
+    ("r1", D(2020, 1, 1), (1, 1), D(2010, 7, 2)),  # p2, p3 not counted
+    ("zz", D(2020, 1, 1), (0, 0), None),  # unknown id
+])
+def test_reviewer_profile_edge_cases(reviewer, as_of, counts, last):
+    corpus = edge_case_corpus()
+    prof = corpus.reviewer_profile(reviewer, as_of)
+    assert (prof.accept_count, prof.reject_count) == counts
+    assert prof.last_assignment_date == last
+    assert prof == reference_reviewer_profile(corpus, reviewer, as_of)

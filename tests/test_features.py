@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from revnet import features
 from revnet.corpus import (Assignment, CitationRecord, Corpus, Decision,
                            Report, Submission)
 from revnet.features import (CSV_HEADER, FEATURE_NAMES, NETWORK_FEATURES,
@@ -113,15 +114,31 @@ def test_network_features_empty_snapshot_is_missing():
     assert np.isnan(network_features("p1", corpus)).all()
 
 
-def test_snapshot_cache_is_reused():
+def test_snapshot_cache_is_reused(monkeypatch):
     corpus = history_corpus()
     cache = SnapshotCache(corpus)
     a = network_features("pX", corpus, cache)
     b = network_features("pX", corpus, cache)
     assert np.array_equal(a, b)
     assert len(cache._tables) == 1
-    assert cache.stats() == {"snapshot_tables": 1, "nodes_max": 3,
-                             "pagerank_nonconverged": 0}
+    assert cache.stats() == {"snapshot_dates": 1, "snapshot_tables": 1,
+                             "nodes_max": 3, "pagerank_nonconverged": 0}
+
+    # a later date with the same projection shares the table; a date after
+    # pX's assignments (rNew joins e1's pool) gets a table of its own
+    calls = []
+    compute = features.centrality.compute_table
+    monkeypatch.setattr(features.centrality, "compute_table",
+                        lambda graph: calls.append(graph.cutoff) or compute(graph))
+    graph_x, table_x = cache.table(D(2010, 1, 1))
+    graph_y, table_y = cache.table(D(2010, 1, 4))
+    assert graph_y.cutoff == D(2010, 1, 4) and graph_y.adj == graph_x.adj
+    assert table_y is table_x and calls == []
+    graph_z, table_z = cache.table(D(2010, 2, 1))
+    assert graph_z.n == 4 and table_z is not table_x
+    assert calls == [D(2010, 2, 1)]
+    assert cache.stats() == {"snapshot_dates": 3, "snapshot_tables": 2,
+                             "nodes_max": 4, "pagerank_nonconverged": 0}
 
 
 # -- supporting features -----------------------------------------------------
@@ -231,6 +248,35 @@ def test_matrix_csv_round_trip_is_exact(tmp_path, lexicon):
     assert again.y.tobytes() == matrix.y.tobytes()
     assert np.array_equal(again.missing, matrix.missing)
     assert (tmp_path / "features.csv.missing").exists()
+
+
+def _flip_first_cell(line: str) -> str:
+    pid, first, rest = line.split(",", 2)
+    return f"{pid},{'0' if first == '1' else '1'},{rest}"
+
+
+@pytest.mark.parametrize("tamper, fragment", [
+    pytest.param(lambda lines: lines[:2] + [_flip_first_cell(lines[2])] + lines[3:],
+                 "line 3 is", id="flipped-cell"),
+    pytest.param(lambda lines: [lines[0].replace("Deg", "deg")] + lines[1:],
+                 "line 1 is", id="header"),
+    pytest.param(lambda lines: [lines[0], "zz" + lines[1]] + lines[2:],
+                 "line 2 is", id="paper-id"),
+    pytest.param(lambda lines: lines[:-1], "lines, expected", id="row-missing"),
+    pytest.param(lambda lines: lines + [lines[-1]], "lines, expected", id="row-extra"),
+])
+def test_read_matrix_checks_the_missing_mask(tmp_path, lexicon, tamper, fragment):
+    matrix = assemble_matrix(matrix_corpus(), (2010, 2012), lexicon)
+    assert matrix.missing.any() and not matrix.missing.all()
+    path = tmp_path / "features.csv"
+    write_matrix_csv(matrix, path)
+    mask = tmp_path / "features.csv.missing"
+    lines = mask.read_text().splitlines(keepends=True)
+    mask.write_text("".join(tamper(lines)))
+    with pytest.raises(ValueError, match=fragment):
+        read_matrix_csv(path)
+    mask.unlink()  # a bare CSV without a mask is still accepted
+    assert read_matrix_csv(path).paper_ids == matrix.paper_ids
 
 
 def test_read_matrix_rejects_wrong_header(tmp_path):

@@ -1,5 +1,6 @@
 """Property-based invariants over randomly generated inputs."""
 
+import datetime as dt
 import math
 
 import numpy as np
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 from revnet.analysis import (bucket_fixed_width, bucket_powers_of_two,
                              bucket_ratio_decile, empirical_cdf)
 from revnet.centrality import compute_table
+from revnet.corpus import Assignment, Corpus, Decision, Report, Submission
 from revnet.features import citation_rank_targets
 from revnet.svr import f_statistic
 from revnet.text_metrics import tokenize
 
-from helpers import graph_from_edges
+from helpers import (graph_from_edges, reference_author_profile,
+                     reference_reviewer_profile)
 
 edge_lists = st.integers(2, 10).flatmap(
     lambda n: st.tuples(
@@ -99,3 +102,50 @@ def test_f_statistic_nonnegative_and_shift_invariant(xs, ys):
 def test_tokenize_yields_lowercase_alpha(text):
     for token in tokenize(text):
         assert token and token.isalpha() and token == token.lower()
+
+
+BASE_DATE = dt.date(2010, 1, 1)
+AUTHORS = ("a0", "a1", "a2", "a3")
+REVIEWERS = ("r0", "r1", "r2", "r3")
+
+
+@st.composite
+def review_logs(draw):
+    """Valid logs over a few people and a short span of days, so that dates
+    collide; authors may repeat on a paper, reviewers may report in several
+    rounds, and papers may be withdrawn or left undecided."""
+    events = []
+    for k in range(draw(st.integers(0, 8))):
+        pid = f"p{k}"
+        sub = BASE_DATE + dt.timedelta(days=draw(st.integers(0, 30)))
+        events.append(Submission(pid, sub, tuple(draw(st.lists(
+            st.sampled_from(AUTHORS), min_size=1, max_size=3))), ""))
+        outcome = draw(st.sampled_from(("accept", "reject", "withdraw", None)))
+        span = draw(st.integers(0, 20))
+
+        def day():
+            return sub + dt.timedelta(days=draw(st.integers(0, span)))
+
+        rounds = 1
+        for rid in draw(st.lists(st.sampled_from(REVIEWERS), max_size=3)):
+            for rnd in range(1, draw(st.integers(1, 2)) + 1):
+                events.append(Assignment(pid, day(), "e1", rid, rnd))
+                if draw(st.booleans()):
+                    events.append(Report(pid, day(), rid, rnd, "", "revise"))
+                rounds = max(rounds, rnd)
+        if outcome is not None:
+            events.append(Decision(pid, sub + dt.timedelta(days=span), outcome, rounds))
+    return events
+
+
+@given(review_logs(), st.lists(st.integers(-2, 55), min_size=1, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_profiles_match_the_rescan_oracles(events, offsets):
+    corpus = Corpus(events)
+    for as_of in (BASE_DATE + dt.timedelta(days=d) for d in offsets):
+        for author in AUTHORS + ("unknown",):
+            assert corpus.author_profile(author, as_of) == \
+                reference_author_profile(corpus, author, as_of)
+        for reviewer in REVIEWERS + ("unknown",):
+            assert corpus.reviewer_profile(reviewer, as_of) == \
+                reference_reviewer_profile(corpus, reviewer, as_of)

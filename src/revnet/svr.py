@@ -104,9 +104,13 @@ def _solve_smo(K: np.ndarray, y: np.ndarray, config: SvrConfig):
 
     Works on the 2l variables a = (alpha, alpha*), kept as Python floats,
     plus F = K beta.  The KKT scores are s = y - eps - F for the alpha half
-    and s + 2 eps for the alpha* half, both held in one length-2l vector; the
-    up/low membership masks over the 2l variables change only at the two
-    variables a step moves.  Pair updates move beta_i by +t and beta_j by -t.
+    and s + 2 eps for the alpha* half.  Set membership is held in two
+    length-2l additive masks: ``up_add`` is the half's offset (0 or 2 eps)
+    where the variable is in the up set (alpha < C, alpha* > 0) and -inf
+    elsewhere, ``low_add`` the offset or +inf, so each masked score set is
+    one add to s repeated twice.  The masks change only at the two variables
+    a step moves, and every per-step array is a buffer allocated once.  Pair
+    updates move beta_i by +t and beta_j by -t.
     """
     l = len(y)
     C, eps, tol = config.C, config.epsilon, config.tol
@@ -121,29 +125,41 @@ def _solve_smo(K: np.ndarray, y: np.ndarray, config: SvrConfig):
 
     y_eps = y - eps
     F = np.zeros(l)
-    s = np.empty(2 * l)
-    s_p, s_m = s[:l], s[l:]
     a = [0.0] * (2 * l)
-    up = np.arange(2 * l) < l  # alpha < C, alpha* > 0
-    low = ~up  # alpha > 0, alpha* < C
+    # at a = 0 every alpha is up only and every alpha* is low only
+    up_add = np.concatenate([np.zeros(l), np.full(l, -inf)])
+    low_add = np.concatenate([np.full(l, inf), np.full(l, two_eps)])
+    # s stored twice: contiguous adds are cheaper than broadcast ones
+    s2, up_s, low_s, obj = (np.empty(2 * l) for _ in range(4))
+    s_p, s_m = s2[:l], s2[l:]
+    obj_p, obj_m = obj[:l], obj[l:]
+    step = np.empty(l)
 
     iters = 0
     gap = inf
     while iters < config.max_passes:
         np.subtract(y_eps, F, out=s_p)
-        np.add(s_p, two_eps, out=s_m)
-        up_s = np.where(up, s, -inf)
+        np.copyto(s_m, s_p)
+        np.add(s2, up_add, out=up_s)
         vi = int(up_s.argmax())
         m = float(up_s[vi])
-        low_s = np.where(low, s, inf)
-        gap = m - float(low_s.min())
+        np.add(s2, low_add, out=low_s)
+        gap = m - float(low_s[low_s.argmin()])
         if gap <= tol:
             break
 
-        # second-order partner choice among violators (libsvm WSS2)
+        # second-order partner choice among violators (libsvm WSS2) by the
+        # objective max(m - low_s, 0)^2 / a_ij.  A zero stands in for a
+        # non-violator's -inf and never wins: the argmin of low_s has
+        # b = gap > tol, so its objective is at least tol^2 / 2, as an RBF
+        # kernel has a_ij <= 2, and that is positive for any tol > 1e-161.
         i = vi if vi < l else vi - l
-        b = (m - low_s).reshape(2, l)
-        obj = np.where(b > 0, b * b / A[i], -inf)
+        np.subtract(m, low_s, out=obj)
+        np.maximum(obj, 0.0, out=obj)
+        np.square(obj, out=obj)
+        A_i = A[i]
+        np.divide(obj_p, A_i, out=obj_p)
+        np.divide(obj_m, A_i, out=obj_m)
         vj = int(obj.argmax())
         score_j = float(low_s[vj])
         if not math.isfinite(score_j):
@@ -160,27 +176,36 @@ def _solve_smo(K: np.ndarray, y: np.ndarray, config: SvrConfig):
         a[vj] += -t if vj < l else t
         for v in (vi, vj):
             if v < l:
-                up[v], low[v] = a[v] < C, a[v] > 0
+                up_add[v] = 0.0 if a[v] < C else -inf
+                low_add[v] = 0.0 if a[v] > 0 else inf
             else:
-                up[v], low[v] = a[v] > 0, a[v] < C
-        F += t * K[i]
-        F -= t * K[j]
+                up_add[v] = two_eps if a[v] > 0 else -inf
+                low_add[v] = two_eps if a[v] < C else inf
+        np.multiply(K[i], t, out=step)
+        F += step
+        np.multiply(K[j], t, out=step)
+        F -= step
         iters += 1
 
     converged = gap <= tol
     a = np.array(a)
     beta = a[:l] - a[l:]
 
-    # bias from free variables; fall back to the midpoint of the KKT bounds
     np.subtract(y_eps, F, out=s_p)
     np.add(s_p, two_eps, out=s_m)
+    up_s = np.where(up_add > -inf, s2, -inf)
+    low_s = np.where(low_add < inf, s2, inf)
+    if gap == 0.0:
+        # adding a +0.0 mask turns a -0.0 score into +0.0; a zero gap ends
+        # the loop at its check, so F is unchanged and the masked scores
+        # give the gap's sign
+        gap = float(up_s[up_s.argmax()] - low_s.min())
+    # bias from free variables; fall back to the midpoint of the KKT bounds
     free = (a > 1e-12) & (a < C - 1e-12)
     if free.any():
-        bias = float(np.mean(s[free]))
+        bias = float(np.mean(s2[free]))
     else:
-        hi = np.where(up, s, -inf).max()
-        lo = np.where(low, s, inf).min()
-        bias = float((hi + lo) / 2.0)
+        bias = float((up_s.max() + low_s.min()) / 2.0)
     return beta, bias, iters, converged, float(gap)
 
 
@@ -258,7 +283,12 @@ def kkt_max_violation(model: SvrModel, X: np.ndarray, y: np.ndarray) -> float:
 
 
 def f_statistic(column: np.ndarray, targets: np.ndarray) -> float:
-    """Univariate linear-regression F = r^2 (n-2) / (1 - r^2)."""
+    """Univariate linear-regression F = SSR (n-2) / SSE.
+
+    Both sums of squares come from centred values, SSE summed over the
+    residuals: the textbook r^2 (n-2) / (1 - r^2) loses digits in 1 - r^2
+    when r is near 1.
+    """
     x = np.asarray(column, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     n = len(x)
@@ -266,15 +296,17 @@ def f_statistic(column: np.ndarray, targets: np.ndarray) -> float:
         raise ValueError("need at least 3 samples")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("inputs must be finite")
-    sx = x.std()
-    sy = y.std()
-    if sx < 1e-15 or sy < 1e-15:
+    if x.std() < 1e-15 or y.std() < 1e-15:
         return 0.0
-    r = float(np.mean((x - x.mean()) * (y - y.mean())) / (sx * sy))
-    r2 = min(r * r, 1.0)
-    if r2 >= 1.0 - 1e-15:
+    xc = x - x.mean()
+    yc = y - y.mean()
+    sxy = float(np.sum(xc * yc))
+    slope = sxy / float(np.sum(xc * xc))
+    residuals = yc - slope * xc
+    sse = float(np.sum(residuals * residuals))
+    if sse <= 1e-15 * float(np.sum(yc * yc)):  # r^2 >= 1 - 1e-15
         return math.inf
-    return r2 * (n - 2) / (1.0 - r2)
+    return slope * sxy * (n - 2) / sse
 
 
 @dataclass

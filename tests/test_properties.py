@@ -4,7 +4,7 @@ import datetime as dt
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from revnet.analysis import (bucket_fixed_width, bucket_powers_of_two,
@@ -87,6 +87,8 @@ def test_empirical_cdf_is_a_cdf(values):
 @given(st.lists(st.floats(-100, 100), min_size=3, max_size=50),
        st.lists(st.floats(-100, 100), min_size=3, max_size=50))
 @settings(max_examples=100, deadline=None)
+# r near 1: 1 - r^2 loses digits under the shift
+@example([0.0, 0, 0, 0, 0, 0, 1, 0], [0.0, 0, 0, 0, 0, 0, 1, 1e-5])
 def test_f_statistic_nonnegative_and_shift_invariant(xs, ys):
     n = min(len(xs), len(ys))
     x = np.array(xs[:n])

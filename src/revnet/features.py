@@ -29,6 +29,8 @@ from __future__ import annotations
 import datetime as dt
 import os
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from statistics import NormalDist
 from typing import Optional
 
@@ -121,7 +123,19 @@ def network_features(paper_id: str, corpus: Corpus,
 
 
 def _mean_or_nan(values: list[float]) -> float:
-    return float(np.mean(values)) if values else float("nan")
+    """``float(np.mean(values))``, bit for bit; NaN for no values.
+
+    NumPy sums fewer than 8 values left to right from 0.0, so a plain
+    left-to-right sum of a short list gives its bits without the per-call
+    NumPy overhead.  From 8 values on NumPy uses 8 accumulators, so those
+    lists go to ``np.mean``.  ``sum()`` is not used: from Python 3.12 it
+    compensates float rounding.
+    """
+    if not values:
+        return float("nan")
+    if len(values) < 8:
+        return reduce(add, values, 0.0) / len(values)
+    return float(np.mean(values))
 
 
 def supporting_features(paper_id: str, corpus: Corpus, lexicon: Lexicon) -> np.ndarray:

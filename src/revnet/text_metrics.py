@@ -4,15 +4,16 @@ Sentiment is the signed hit ratio (positive - negative) / tokens, normalized
 to [-1, 1]; category scores are percentages of tokens falling in each of the
 seven category word lists.  Lexicons are always loaded from files (one word
 per line: ``positive.txt``, ``negative.txt``, ``cat_<name>.txt``) so they can
-be swapped without touching code.
+be swapped without touching code.  Every lexicon word must itself be a
+token (one ``[a-z]+`` run), or no text could ever match it.
 """
 
 from __future__ import annotations
 
 import os
-import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
+from itertools import repeat
 
 CATEGORIES = (
     "future_tense",
@@ -24,7 +25,11 @@ CATEGORIES = (
     "positive_emotion",
 )
 
-_TOKEN_RE = re.compile(r"[a-z]+")
+# After ``str.lower()`` a byte below 0x80 in the UTF-8 encoding is an ASCII
+# character and every non-ASCII character encodes to bytes >= 0x80 (lone
+# surrogates too, under "surrogatepass"), so mapping every byte but a-z to a
+# space leaves exactly the ``[a-z]+`` runs.
+_LETTERS = bytes(b if 0x61 <= b <= 0x7A else 0x20 for b in range(256))
 
 LEXICON_DIR_ENV = "REVNET_LEXICON_DIR"
 
@@ -34,16 +39,32 @@ class Lexicon:
     positive: frozenset[str]
     negative: frozenset[str]
     categories: dict[str, frozenset[str]]
+    # word -> +1 (positive) or -1 (negative), for one-pass sentiment counts
+    polarity: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         overlap = self.positive & self.negative
         if overlap:
             raise ValueError(f"positive/negative lexicons overlap: {sorted(overlap)[:5]}")
+        polarity = dict.fromkeys(self.positive, 1)
+        polarity.update(dict.fromkeys(self.negative, -1))
+        object.__setattr__(self, "polarity", polarity)
 
 
 def _read_word_file(path) -> frozenset[str]:
+    """Words of a one-word-per-line file, stripped and lowercased; blank lines
+    are skipped and a word that is not one ``[a-z]+`` run raises ``ValueError``."""
+    words = set()
     with open(path, "r", encoding="utf-8") as fh:
-        return frozenset(w.strip().lower() for w in fh if w.strip())
+        for lineno, line in enumerate(fh, start=1):
+            word = line.strip().lower()
+            if not word:
+                continue
+            if tokenize(word) != [word]:
+                raise ValueError(f"{path}: line {lineno}: lexicon word {word!r} is not "
+                                 f"one run of letters a-z, so no token can match it")
+            words.add(word)
+    return frozenset(words)
 
 
 def load_lexicon(directory=None) -> Lexicon:
@@ -65,17 +86,16 @@ def load_lexicon(directory=None) -> Lexicon:
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase alphabetic runs; everything else is a separator."""
-    return _TOKEN_RE.findall(text.lower())
+    """The ``[a-z]+`` runs of ``text.lower()``; everything else is a separator."""
+    return (text.lower().encode("utf-8", "surrogatepass").translate(_LETTERS)
+            .decode("ascii").split())
 
 
 def sentiment_score(text: str, lexicon: Lexicon) -> float:
     tokens = tokenize(text)
     if not tokens:
         return 0.0
-    pos = sum(1 for t in tokens if t in lexicon.positive)
-    neg = sum(1 for t in tokens if t in lexicon.negative)
-    return (pos - neg) / len(tokens)
+    return sum(map(lexicon.polarity.get, tokens, repeat(0))) / len(tokens)
 
 
 def category_percentages(text: str, lexicon: Lexicon) -> dict[str, float]:

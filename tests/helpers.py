@@ -10,6 +10,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 import random
+import re
 from collections import deque
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 from revnet.corpus import (Assignment, AuthorProfile, CitationRecord, Corpus,
                            Decision, Report, ReviewerProfile, Submission)
 from revnet.review_graph import ReviewGraph
+from revnet.text_metrics import Lexicon
 
 FAR_FUTURE = dt.date(2100, 1, 1)
 
@@ -279,6 +281,78 @@ def reference_reviewer_profile(corpus: Corpus, reviewer_id: str,
                 and ev.date < as_of and (last is None or ev.date > last):
             last = ev.date
     return ReviewerProfile(reviewer_id, accept, reject, last)
+
+
+# -- reference forms of the per-paper features -----------------------------
+
+_TOKEN_RE = re.compile(r"[a-z]+")
+
+
+def reference_tokenize(text: str) -> list[str]:
+    """Regex form of ``text_metrics.tokenize``."""
+    return _TOKEN_RE.findall(text.lower())
+
+
+def reference_sentiment_score(text: str, lexicon: Lexicon) -> float:
+    """Two counting passes over the regex tokens."""
+    tokens = reference_tokenize(text)
+    if not tokens:
+        return 0.0
+    pos = sum(1 for t in tokens if t in lexicon.positive)
+    neg = sum(1 for t in tokens if t in lexicon.negative)
+    return (pos - neg) / len(tokens)
+
+
+def _reference_mean_or_nan(values: list[float]) -> float:
+    return float(np.mean(values)) if values else float("nan")
+
+
+def reference_supporting_features(paper_id: str, corpus: Corpus,
+                                  lexicon: Lexicon) -> np.ndarray:
+    """``features.supporting_features`` with the regex tokenizer, two-pass
+    sentiment counts and ``np.mean`` for every mean."""
+    sub = corpus.submissions[paper_id]
+    as_of = sub.date
+    reports = corpus.reports.get(paper_id, [])
+    first_round = [r for r in reports if r.round == 1]
+
+    rr = float(max((r.round for r in reports), default=0)) if reports else float("nan")
+    ts = float(len(sub.author_ids))
+    rl = _reference_mean_or_nan([float(len(r.text.split())) for r in first_round])
+    snt = _reference_mean_or_nan([reference_sentiment_score(r.text, lexicon)
+                                  for r in first_round])
+
+    profiles = [corpus.author_profile(a, as_of) for a in sub.author_ids]
+    ar = _reference_mean_or_nan([p.acceptance_ratio for p in profiles
+                                 if p.acceptance_ratio is not None])
+
+    ap_gap = profiles[0].mean_inter_submission_gap
+    ap = float(ap_gap) if ap_gap is not None else float("nan")
+
+    reviewers = corpus.assigned_reviewers(paper_id)
+    rac_vals = []
+    ta_vals = []
+    for rid in reviewers:
+        prof = corpus.reviewer_profile(rid, as_of)
+        if prof.accept_ratio is not None:
+            rac_vals.append(prof.accept_ratio)
+        if prof.last_assignment_date is not None:
+            ta_vals.append(float((as_of - prof.last_assignment_date).days))
+    rac = _reference_mean_or_nan(rac_vals)
+    ta = _reference_mean_or_nan(ta_vals)
+
+    delays = []
+    first_assign = {}
+    for a in corpus.assignments.get(paper_id, []):
+        if a.round == 1 and a.reviewer_id not in first_assign:
+            first_assign[a.reviewer_id] = a.date
+    for r in first_round:
+        start = first_assign.get(r.reviewer_id)
+        if start is not None:
+            delays.append(float((r.date - start).days))
+    dr = _reference_mean_or_nan(delays)
+
+    return np.array([rr, ts, rl, snt, ar, ap, rac, ta, dr])
 
 
 # -- corpus builders ---------------------------------------------------------

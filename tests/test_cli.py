@@ -1,3 +1,5 @@
+import dataclasses
+import datetime as dt
 import functools
 import hashlib
 import json
@@ -8,7 +10,11 @@ import pytest
 
 from revnet import centrality, features, svr
 from revnet.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from revnet.corpus import Corpus, Report, write_events
 from revnet.features import NETWORK_FEATURES
+from revnet.text_metrics import CATEGORIES, load_lexicon
+
+from helpers import minimal_paper, reference_supporting_features
 
 
 def run(capsys, *argv):
@@ -286,3 +292,48 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def small_log(path):
+    events = []
+    for k in range(3):
+        events += minimal_paper(f"p{k}", dt.date(2010, 1 + 3 * k, 1),
+                                citations=5 * k, as_of_year=2014)
+    write_events(events, path)
+    return events
+
+
+@pytest.mark.parametrize("command", [["features", "--year-from", "2010", "--year-to", "2011"],
+                                     ["analyze"]], ids=["features", "analyze"])
+def test_lexicon_word_no_token_can_match_is_usage_error(tmp_path, capsys, command):
+    lex_dir = tmp_path / "lexicon"
+    lex_dir.mkdir()
+    (lex_dir / "positive.txt").write_text("good\nwell-written\n")
+    (lex_dir / "negative.txt").write_text("bad\n")
+    for name in CATEGORIES:
+        (lex_dir / f"cat_{name}.txt").write_text("placeholder\n")
+    log = tmp_path / "events.jsonl"
+    small_log(log)
+    code, _, err = run(capsys, command[0], str(log), str(tmp_path / "out"),
+                       *command[1:], "--lexicon-dir", str(lex_dir))
+    assert code == EXIT_USAGE
+    assert "positive.txt: line 2" in err and "'well-written'" in err
+    assert "Traceback" not in err
+
+
+def test_features_read_report_text_with_a_lone_surrogate(tmp_path, capsys):
+    log = tmp_path / "events.jsonl"
+    events = small_log(log)
+    text = "good \ud800good bad\ud800 clear"
+    events = [dataclasses.replace(ev, text=text) if isinstance(ev, Report) else ev
+              for ev in events]
+    write_events(events, log)
+    assert "\\ud800" in log.read_text()  # the JSON escape, not a raw character
+    code, _, err = run(capsys, "features", str(log), str(tmp_path / "out"),
+                       "--year-from", "2010", "--year-to", "2011")
+    assert code == EXIT_OK, err
+    lines = (tmp_path / "out" / "features.csv").read_text().splitlines()
+    column = lines[0].split(",").index("SNT")
+    expected = reference_supporting_features("p1", Corpus(events), load_lexicon())[3]
+    row = next(line for line in lines if line.startswith("p1,"))
+    assert row.split(",")[column] == repr(float(expected)) == "0.5"

@@ -1,5 +1,8 @@
 import datetime as dt
 import math
+import random
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from revnet.features import (CSV_HEADER, FEATURE_NAMES, NETWORK_FEATURES,
                              network_features, read_matrix_csv,
                              supporting_features, write_matrix_csv)
 
-from helpers import minimal_paper
+from helpers import minimal_paper, reference_supporting_features
 
 D = dt.date
 
@@ -201,6 +204,54 @@ def test_supporting_features_missing_values(lexicon):
     rr, ts, rl, snt, ar, ap, rac, ta, dr = vals
     assert ts == 1.0
     assert all(math.isnan(v) for v in (rr, rl, snt, ar, ap, rac, ta, dr))
+
+
+def test_mean_or_nan_is_numpy_mean_bit_for_bit():
+    """Lengths 0-300 cross NumPy's 8-value (unrolled) and 128-value
+    (pairwise block) summation boundaries."""
+    rng = random.Random(5)
+    specials = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, 1e308)
+
+    def value():
+        if rng.random() < 0.3:
+            return rng.choice(specials)
+        return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-12, 12)
+
+    assert math.isnan(features._mean_or_nan([]))
+    lists = [[-0.0] * n for n in (1, 2, 7, 8, 9)]
+    lists += [[1e308] * n for n in (2, 7, 8)]  # the sum overflows to inf
+    lists += [[value() for _ in range(n)] for n in range(1, 301) for _ in range(20)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for values in lists:
+            got = features._mean_or_nan(values)
+            assert np.float64(got).tobytes() == np.float64(np.mean(values)).tobytes(), values
+
+
+def test_nine_author_paper_gives_the_reference_bytes(lexicon):
+    """Nine author ratios take NumPy's 8-accumulator sum, which a plain
+    left-to-right sum of these values misses in the last bit."""
+    history = ((2, 5), (3, 1), (1, 6), (1, 2), (3, 2), (2, 3), (1, 4), (5, 2), (2, 1))
+    events = []
+    day = D(2008, 1, 1)
+    for k, (accepts, rejects) in enumerate(history):
+        for m in range(accepts + rejects):
+            events += minimal_paper(f"h{k}_{m}", day, authors=(f"a{k}",),
+                                    outcome="accept" if m < accepts else "reject")
+            day += dt.timedelta(days=3)
+    authors = tuple(f"a{k}" for k in range(len(history)))
+    events += [
+        Submission("pX", D(2010, 6, 1), authors, "probe"),
+        Assignment("pX", D(2010, 6, 5), "e1", "r1", 1),
+        Report("pX", D(2010, 7, 1), "r1", 1, "good but weak", "revise"),
+        Decision("pX", D(2010, 7, 9), "accept", 1),
+    ]
+    corpus = Corpus(events)
+    ratios = [a / (a + r) for a, r in history]
+    assert reduce(add, ratios, 0.0) / 9 != np.mean(ratios)  # the case is sharp
+    got = supporting_features("pX", corpus, lexicon)
+    assert np.float64(got[4]).tobytes() == np.float64(np.mean(ratios)).tobytes()
+    assert got.tobytes() == reference_supporting_features("pX", corpus, lexicon).tobytes()
 
 
 def test_feature_vector_shape_and_mask(lexicon):

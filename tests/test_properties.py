@@ -11,12 +11,15 @@ from revnet.analysis import (bucket_fixed_width, bucket_powers_of_two,
                              bucket_ratio_decile, empirical_cdf)
 from revnet.centrality import compute_table
 from revnet.corpus import Assignment, Corpus, Decision, Report, Submission
-from revnet.features import citation_rank_targets
+from revnet.features import citation_rank_targets, supporting_features
 from revnet.svr import f_statistic
-from revnet.text_metrics import tokenize
+from revnet.text_metrics import load_lexicon, tokenize
 
 from helpers import (graph_from_edges, reference_author_profile,
-                     reference_reviewer_profile)
+                     reference_reviewer_profile, reference_supporting_features,
+                     reference_tokenize)
+
+LEXICON = load_lexicon()
 
 edge_lists = st.integers(2, 10).flatmap(
     lambda n: st.tuples(
@@ -106,22 +109,37 @@ def test_tokenize_yields_lowercase_alpha(text):
         assert token and token.isalpha() and token == token.lower()
 
 
+@given(st.text())
+@settings(max_examples=300)
+@example("\ud800good")  # a lone surrogate, as a JSON "\ud800" escape gives
+@example("\u212aelvin")  # KELVIN SIGN lowercases to ASCII "k"
+@example("\u0130nsight")  # "İ" lowercases to "i" + U+0307
+@example("Stra\u00dfe \ufb01ne \uff27\uff4f\uff4f\uff44")  # ß, ﬁ, full-width
+@example("a".join(map(chr, [*range(0x21), 0x7F])))  # ASCII whitespace, controls
+def test_tokenize_matches_the_regex_tokenizer(text):
+    assert tokenize(text) == reference_tokenize(text)
+
+
 BASE_DATE = dt.date(2010, 1, 1)
 AUTHORS = ("a0", "a1", "a2", "a3")
 REVIEWERS = ("r0", "r1", "r2", "r3")
+REPORT_WORDS = ("good", "clear", "weak", "wrong", "the", "Novel", "well-written",
+                "na\u00efve", "\u212aey", "42")
+report_texts = st.lists(st.sampled_from(REPORT_WORDS) | st.text(max_size=6),
+                        max_size=8).map(" ".join)
 
 
 @st.composite
 def review_logs(draw):
     """Valid logs over a few people and a short span of days, so that dates
-    collide; authors may repeat on a paper, reviewers may report in several
-    rounds, and papers may be withdrawn or left undecided."""
+    collide; authors may repeat on a paper (up to 10 listings), reviewers may
+    report in several rounds, and papers may be withdrawn or left undecided."""
     events = []
     for k in range(draw(st.integers(0, 8))):
         pid = f"p{k}"
         sub = BASE_DATE + dt.timedelta(days=draw(st.integers(0, 30)))
         events.append(Submission(pid, sub, tuple(draw(st.lists(
-            st.sampled_from(AUTHORS), min_size=1, max_size=3))), ""))
+            st.sampled_from(AUTHORS), min_size=1, max_size=10))), ""))
         outcome = draw(st.sampled_from(("accept", "reject", "withdraw", None)))
         span = draw(st.integers(0, 20))
 
@@ -133,7 +151,8 @@ def review_logs(draw):
             for rnd in range(1, draw(st.integers(1, 2)) + 1):
                 events.append(Assignment(pid, day(), "e1", rid, rnd))
                 if draw(st.booleans()):
-                    events.append(Report(pid, day(), rid, rnd, "", "revise"))
+                    events.append(Report(pid, day(), rid, rnd,
+                                         draw(report_texts), "revise"))
                 rounds = max(rounds, rnd)
         if outcome is not None:
             events.append(Decision(pid, sub + dt.timedelta(days=span), outcome, rounds))
@@ -151,3 +170,12 @@ def test_profiles_match_the_rescan_oracles(events, offsets):
         for reviewer in REVIEWERS + ("unknown",):
             assert corpus.reviewer_profile(reviewer, as_of) == \
                 reference_reviewer_profile(corpus, reviewer, as_of)
+
+
+@given(review_logs())
+@settings(max_examples=150, deadline=None)
+def test_supporting_features_match_the_reference_bytes(events):
+    corpus = Corpus(events)
+    for pid in corpus.submissions:
+        assert supporting_features(pid, corpus, LEXICON).tobytes() == \
+            reference_supporting_features(pid, corpus, LEXICON).tobytes()

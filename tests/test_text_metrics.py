@@ -61,6 +61,21 @@ def test_load_lexicon_from_explicit_directory(tmp_path):
     assert lex.categories["negation"] == frozenset({"placeholder"})
 
 
+@pytest.mark.parametrize("word", ["well-written", "na\u00efve", "two words", "x2"])
+def test_load_lexicon_rejects_words_no_token_can_match(tmp_path, word):
+    write_lexicon_dir(tmp_path, "excellent")
+    (tmp_path / "positive.txt").write_text(f"excellent\n\n{word}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_lexicon(tmp_path)
+    message = str(info.value)
+    assert "positive.txt" in message and "line 3" in message and repr(word) in message
+
+
+def test_load_lexicon_strips_and_lowercases(tmp_path):
+    write_lexicon_dir(tmp_path, "  Excellent \t")
+    assert "excellent" in load_lexicon(tmp_path).positive
+
+
 def test_load_lexicon_env_override(tmp_path, monkeypatch):
     write_lexicon_dir(tmp_path, "zmarker")
     monkeypatch.setenv(LEXICON_DIR_ENV, str(tmp_path))

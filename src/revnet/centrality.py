@@ -7,13 +7,15 @@ deterministic; node order follows the graph's sorted node tuple.
 
 Shortest paths and triangles are counted with dense matrix products on the
 graph's 0/1 adjacency matrix, over fixed blocks of ``SOURCE_BLOCK`` rows, so
-beyond the matrix itself the working set stays O(SOURCE_BLOCK * n).
+beyond the matrix itself the working set stays O(depth * SOURCE_BLOCK * n),
+where depth is the number of BFS levels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from typing import Optional
 
 import numpy as np
 
@@ -55,54 +57,60 @@ def _adjacency(graph: ReviewGraph) -> np.ndarray:
     return A
 
 
-def _brandes_pass(graph: ReviewGraph):
+def _brandes_pass(A: np.ndarray):
     """Level-synchronous Brandes sweep over blocks of sources at once.
 
-    Forward, ``frontier @ A`` takes the shortest-path counts sigma of every
-    source in the block one BFS level deeper, and the integer distance
-    matrix records each node's level.  Backward, the levels are walked
-    deepest first with Brandes' dependency recursion, one product per level:
+    Forward, ``level @ A`` takes the shortest-path counts sigma of every
+    source in the block one BFS level deeper; ``level`` holds sigma on the
+    current level and 0 elsewhere.  Backward, the levels are walked deepest
+    first with Brandes' dependency recursion, one product per level:
     delta[v] += sigma[v] * sum over neighbours w one level deeper of
     (1 + delta[w]) / sigma[w].
+
+    Levels are selected by multiplying with 0/1 masks, never by boolean
+    indexing: for the finite, non-negative values here ``x * mask`` has the
+    bits of ``np.where(mask, x, 0.0)``.  Level 0 is the sources alone, so
+    its product is their rows of ``A``.  The step from level 1 back to
+    level 0 is skipped: it would write only the sources' own dependencies,
+    which betweenness excludes.
 
     Returns (raw betweenness with each pair counted twice, distance sums,
     reachable-component sizes).
     """
-    n = graph.n
-    A = _adjacency(graph)
+    n = len(A)
     bc = np.zeros(n)
     dist_sum = np.zeros(n, dtype=np.int64)
     comp_size = np.ones(n, dtype=np.int64)
 
     for lo in range(0, n, SOURCE_BLOCK):
-        sources = np.arange(lo, min(lo + SOURCE_BLOCK, n))
-        rows = np.arange(len(sources))
-        dist = np.full((len(sources), n), -1, dtype=np.int64)
-        sigma = np.zeros((len(sources), n))
-        dist[rows, sources] = 0
-        sigma[rows, sources] = 1.0
-        frontier = dist == 0
-        depth = 0
+        hi = min(lo + SOURCE_BLOCK, n)
+        rows = np.arange(hi - lo)
+        sigma = np.zeros((hi - lo, n))
+        sigma[rows, rows + lo] = 1.0
+        paths = A[lo:hi]
+        levels = []  # sigma on BFS levels 1, 2, ..., zero elsewhere
+        masks = []  # the same levels as 0/1 floats
         while True:
-            paths = np.where(frontier, sigma, 0.0) @ A
-            frontier = (paths > 0.0) & (dist < 0)
-            if not frontier.any():
+            level = paths * (sigma == 0.0)
+            reached = level > 0.0
+            count = np.count_nonzero(reached, axis=1)
+            if not count.any():
                 break
-            depth += 1
-            sigma[frontier] = paths[frontier]
-            dist[frontier] = depth
+            levels.append(level)
+            masks.append(reached.astype(np.float64))
+            sigma += level
+            dist_sum[lo:hi] += len(levels) * count
+            comp_size[lo:hi] += count
+            paths = level @ A
 
+        # off every level sigma may be 0; the mask then zeroes x / 1
+        safe_sigma = np.maximum(sigma, 1.0)
         delta = np.zeros_like(sigma)
-        for d in range(depth, 0, -1):
-            coeff = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma),
-                              where=dist == d)
-            parents = dist == d - 1
-            delta[parents] += sigma[parents] * (coeff @ A)[parents]
-        delta[rows, sources] = 0.0
+        # levels[d] is BFS level d + 1, which feeds level d = levels[d - 1]
+        for d in range(len(levels) - 1, 0, -1):
+            coeff = (1.0 + delta) / safe_sigma * masks[d]
+            delta += levels[d - 1] * (coeff @ A)
         bc += delta.sum(axis=0)
-        reached = dist >= 0
-        dist_sum[sources] = np.where(reached, dist, 0).sum(axis=1)
-        comp_size[sources] = reached.sum(axis=1)
 
     return bc, dist_sum, comp_size
 
@@ -123,11 +131,13 @@ def _closeness_from_sums(dist_sum: np.ndarray, comp_size: np.ndarray,
     return out
 
 
-def clustering(graph: ReviewGraph) -> np.ndarray:
+def clustering(graph: ReviewGraph, A: Optional[np.ndarray] = None) -> np.ndarray:
     """Local clustering; row v of ``(A @ A) * A`` sums to twice the number
-    of links among v's neighbours."""
+    of links among v's neighbours.  ``A`` is the graph's adjacency matrix,
+    built here when not given."""
     n = graph.n
-    A = _adjacency(graph)
+    if A is None:
+        A = _adjacency(graph)
     k = A.sum(axis=1)
     links = np.zeros(n)
     for lo in range(0, n, SOURCE_BLOCK):
@@ -140,24 +150,30 @@ def clustering(graph: ReviewGraph) -> np.ndarray:
 
 
 def pagerank(graph: ReviewGraph, damping: float = PAGERANK_DAMPING,
-             tol: float = PAGERANK_TOL,
-             max_iter: int = PAGERANK_MAX_ITER) -> tuple[np.ndarray, bool]:
+             tol: float = PAGERANK_TOL, max_iter: int = PAGERANK_MAX_ITER,
+             A: Optional[np.ndarray] = None) -> tuple[np.ndarray, bool]:
     """Power iteration on the undirected graph, edges treated as bidirectional.
 
     Degree-0 nodes are dangling and redistribute their mass uniformly.
     Returns the score vector and a convergence flag (L1 change < tol).
+    ``A`` is the graph's adjacency matrix, built here when not given.
+
+    The edges (u, v) are listed in row-major order of ``A``, the order of
+    ``graph.adj``: ``heads`` holds each v, and row u's weight ``contrib[u]``
+    repeats once per edge of u.  ``np.bincount`` adds each weight into bin v
+    in that order, starting from 0.0, so the sums are reproducible.
     """
     if not 0.0 < damping < 1.0:
         raise ValueError("damping must lie in (0, 1)")
     n = graph.n
     if n == 0:
         return np.zeros(0), True
+    if A is None:
+        A = _adjacency(graph)
 
-    degrees = np.array([len(a) for a in graph.adj], dtype=np.float64)
-    src = np.fromiter((u for u in range(n) for _ in graph.adj[u]), dtype=np.int64,
-                      count=int(degrees.sum()))
-    dst = np.fromiter((v for u in range(n) for v in graph.adj[u]), dtype=np.int64,
-                      count=int(degrees.sum()))
+    heads = np.flatnonzero(A > 0.0) % n  # a flat search beats a 2-D np.nonzero
+    degrees = A.sum(axis=1)
+    edges_per_row = degrees.astype(np.int64)
     dangling = degrees == 0
     inv_deg = np.where(dangling, 0.0, 1.0 / np.maximum(degrees, 1.0))
 
@@ -165,8 +181,8 @@ def pagerank(graph: ReviewGraph, damping: float = PAGERANK_DAMPING,
     converged = False
     for _ in range(max_iter):
         contrib = pr * inv_deg
-        nxt = np.zeros(n)
-        np.add.at(nxt, dst, contrib[src])
+        nxt = np.bincount(heads, weights=np.repeat(contrib, edges_per_row),
+                          minlength=n)
         dangling_mass = pr[dangling].sum()
         nxt = (1.0 - damping) / n + damping * (nxt + dangling_mass / n)
         if np.abs(nxt - pr).sum() < tol:
@@ -180,15 +196,17 @@ def pagerank(graph: ReviewGraph, damping: float = PAGERANK_DAMPING,
 def compute_table(graph: ReviewGraph, damping: float = PAGERANK_DAMPING,
                   tol: float = PAGERANK_TOL,
                   max_iter: int = PAGERANK_MAX_ITER) -> CentralityTable:
-    """All five measures in one pass (shortest-path work is shared)."""
-    bc_raw, dist_sum, comp_size = _brandes_pass(graph)
-    pr, ok = pagerank(graph, damping, tol, max_iter)
+    """All five measures in one pass over one adjacency matrix (shortest-path
+    work is shared)."""
+    A = _adjacency(graph)
+    bc_raw, dist_sum, comp_size = _brandes_pass(A)
+    pr, ok = pagerank(graph, damping, tol, max_iter, A)
     return CentralityTable(
         nodes=graph.nodes,
         degree=degree(graph),
         betweenness=_normalize_betweenness(bc_raw, graph.n),
         closeness=_closeness_from_sums(dist_sum, comp_size, graph.n),
-        clustering=clustering(graph),
+        clustering=clustering(graph, A),
         pagerank=pr,
         pagerank_converged=ok,
     )

@@ -133,47 +133,60 @@ def _require(record: dict, key: str) -> object:
     return record[key]
 
 
+def _require_str(record: dict, key: str) -> str:
+    raw = _require(record, key)
+    if type(raw) is not str:
+        raise ValueError(f"{key} must be a string, got {raw!r}")
+    return raw
+
+
+def _require_int(record: dict, key: str, least: Optional[int], kind: str) -> int:
+    """An integral JSON number (``2.0`` reads as 2), never a bool, and at
+    least ``least`` when that is given; ``kind`` names the rule in errors."""
+    raw = _require(record, key)
+    if type(raw) is float and raw.is_integer():
+        raw = int(raw)
+    if type(raw) is not int or (least is not None and raw < least):
+        raise ValueError(f"{key} must be {kind}, got {raw!r}")
+    return raw
+
+
 def _parse_round(record: dict) -> int:
-    raw = _require(record, "round")
-    integral = isinstance(raw, int) or (isinstance(raw, float) and raw.is_integer())
-    if isinstance(raw, bool) or not integral or raw < 1:
-        raise ValueError(f"round must be a positive integer, got {raw!r}")
-    return int(raw)
+    return _require_int(record, "round", 1, "a positive integer")
 
 
 def _parse_record(record: dict) -> ReviewEvent:
     kind = _require(record, "type")
-    paper_id = str(_require(record, "paper_id"))
+    paper_id = _require_str(record, "paper_id")
     date = _parse_date(_require(record, "date"))
     if kind == "submission":
         authors = _require(record, "author_ids")
-        if not isinstance(authors, list) or not authors:
-            raise ValueError("author_ids must be a non-empty list")
-        return Submission(paper_id, date, tuple(str(a) for a in authors),
-                          str(record.get("title", "")))
+        if (type(authors) is not list or not authors
+                or not all(type(a) is str for a in authors)):
+            raise ValueError(f"author_ids must be a non-empty list of strings, "
+                             f"got {authors!r}")
+        return Submission(paper_id, date, tuple(authors), str(record.get("title", "")))
     if kind == "assignment":
         rnd = _parse_round(record)
-        return Assignment(paper_id, date, str(_require(record, "editor_id")),
-                          str(_require(record, "reviewer_id")), rnd)
+        return Assignment(paper_id, date, _require_str(record, "editor_id"),
+                          _require_str(record, "reviewer_id"), rnd)
     if kind == "report":
         rnd = _parse_round(record)
-        rec = str(_require(record, "recommendation"))
+        rec = _require_str(record, "recommendation")
         if rec not in RECOMMENDATIONS:
             raise ValueError(f"unknown recommendation {rec!r}")
-        return Report(paper_id, date, str(_require(record, "reviewer_id")),
-                      rnd, str(_require(record, "text")), rec)
+        return Report(paper_id, date, _require_str(record, "reviewer_id"),
+                      rnd, _require_str(record, "text"), rec)
     if kind == "decision":
-        outcome = str(_require(record, "outcome"))
+        outcome = _require_str(record, "outcome")
         if outcome not in TERMINAL_OUTCOMES:
             raise ValueError(f"unknown outcome {outcome!r}")
         rnd = _parse_round(record)
         return Decision(paper_id, date, outcome, rnd)
     if kind == "citation":
-        cites = int(_require(record, "cumulative_citations"))
-        if cites < 0:
-            raise ValueError("cumulative_citations must be >= 0")
-        return CitationRecord(paper_id, date, cites,
-                              int(_require(record, "as_of_year")))
+        cites = _require_int(record, "cumulative_citations", 0, "a non-negative integer")
+        year = _require_int(record, "as_of_year", None, "an integer")
+        return CitationRecord(paper_id, date, cites, year)
     raise ValueError(f"unknown event type {kind!r}")
 
 
@@ -339,6 +352,9 @@ class Corpus:
     query is a few binary searches rather than a rescan of the history.  An
     author listed twice on a paper counts it twice; a reviewer counts each
     reported paper once, however many rounds they reported on it.
+
+    ``pairs`` lists each distinct (editor, reviewer) assignment pair once,
+    ordered by the date it was first assigned (``pair_dates``), then by ids.
     """
 
     def __init__(self, events: list[ReviewEvent]):
@@ -355,6 +371,7 @@ class Corpus:
         papers_by_author: dict[str, list[str]] = {}
         assigned_by_reviewer: dict[str, list[dt.date]] = {}
         reported_by_reviewer: dict[str, set[str]] = {}
+        first_paired: dict[tuple[str, str], dt.date] = {}
 
         for ev in events:
             if isinstance(ev, Submission):
@@ -364,6 +381,10 @@ class Corpus:
             elif isinstance(ev, Assignment):
                 self.assignments.setdefault(ev.paper_id, []).append(ev)
                 assigned_by_reviewer.setdefault(ev.reviewer_id, []).append(ev.date)
+                pair = (ev.editor_id, ev.reviewer_id)
+                first = first_paired.get(pair)
+                if first is None or ev.date < first:
+                    first_paired[pair] = ev.date
             elif isinstance(ev, Report):
                 self.reports.setdefault(ev.paper_id, []).append(ev)
                 reported_by_reviewer.setdefault(ev.reviewer_id, set()).add(ev.paper_id)
@@ -373,6 +394,12 @@ class Corpus:
                 current = self.citation_records.get(ev.paper_id)
                 if current is None or ev.date >= current.date:
                     self.citation_records[ev.paper_id] = ev
+
+        # the pairs first assigned before a cutoff are a prefix of this order
+        paired = sorted((date, editor, reviewer)
+                        for (editor, reviewer), date in first_paired.items())
+        self.pair_dates: tuple[dt.date, ...] = tuple(d for d, _, _ in paired)
+        self.pairs: tuple[tuple[str, str], ...] = tuple((e, r) for _, e, r in paired)
 
         # decisions may come after the events they close, so index last
         self._author_history = {

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import centrality
 from .corpus import Corpus
-from .review_graph import build_graph
+from .review_graph import build_graph, pairs_before
 from .text_metrics import Lexicon, sentiment_score
 
 FEATURE_NAMES = ("Deg", "BC", "CC", "Clus", "PR", "RR", "TS", "RL", "SNT",
@@ -63,35 +63,42 @@ class TargetValue:
 
 
 class SnapshotCache:
-    """Per-cutoff-date graphs and one centrality table per distinct graph.
+    """One centrality table per distinct snapshot graph.
 
-    Papers submitted on the same day reuse that day's snapshot, and dates
-    whose projection came out the same (same ``nodes`` and ``adj``) share one
-    table, so centralities are computed once per distinct graph.
+    A cutoff's snapshot is a prefix of the corpus's date-sorted (editor,
+    reviewer) pairs, so cutoffs with the same prefix length share one graph,
+    built once.  A longer prefix holds every node and edge of a shorter one,
+    so two prefixes whose graphs have as many nodes and edges have the same
+    graph, and share one table.  Only each graph's node index and table are
+    kept.
     """
 
     def __init__(self, corpus: Corpus):
         self.corpus = corpus
-        self._snapshots: dict[dt.date, tuple] = {}
-        self._tables: dict[tuple, centrality.CentralityTable] = {}
+        self._dates: set[dt.date] = set()
+        self._prefixes: dict[int, tuple] = {}
+        self._tables: dict[tuple[int, int], centrality.CentralityTable] = {}
 
     def table(self, cutoff: dt.date):
-        hit = self._snapshots.get(cutoff)
+        """(node index, centrality table) of the snapshot at ``cutoff``."""
+        self._dates.add(cutoff)
+        k = pairs_before(self.corpus, cutoff)
+        hit = self._prefixes.get(k)
         if hit is None:
             graph = build_graph(self.corpus, cutoff)
-            key = (graph.nodes, graph.adj)
+            key = (graph.n, sum(map(len, graph.adj)))
             table = self._tables.get(key)
             if table is None:
                 table = self._tables[key] = centrality.compute_table(graph)
-            hit = self._snapshots[cutoff] = (graph, table)
+            hit = self._prefixes[k] = (graph.index, table)
         return hit
 
     def stats(self) -> dict:
         """Counters over the snapshot dates and tables built so far."""
         return {
-            "snapshot_dates": len(self._snapshots),
+            "snapshot_dates": len(self._dates),
             "snapshot_tables": len(self._tables),
-            "nodes_max": max((len(nodes) for nodes, _ in self._tables), default=0),
+            "nodes_max": max((n for n, _ in self._tables), default=0),
             "pagerank_nonconverged": sum(not table.pagerank_converged
                                          for table in self._tables.values()),
         }
@@ -108,14 +115,15 @@ def network_features(paper_id: str, corpus: Corpus,
     if not reviewers:
         return np.full(5, np.nan)
     cache = cache or SnapshotCache(corpus)
-    graph, table = cache.table(corpus.submission_date(paper_id))
-    if graph.n == 0:
+    index, table = cache.table(corpus.submission_date(paper_id))
+    n = len(index)
+    if n == 0:
         return np.full(5, np.nan)
     rows = np.zeros((len(reviewers), 5))
     for k, rid in enumerate(reviewers):
-        i = graph.index_of(rid)
+        i = index.get(rid)
         if i is None:
-            rows[k] = (0.0, 0.0, 0.0, 0.0, 1.0 / graph.n)
+            rows[k] = (0.0, 0.0, 0.0, 0.0, 1.0 / n)
         else:
             rows[k] = (table.degree[i], table.betweenness[i], table.closeness[i],
                        table.clustering[i], table.pagerank[i])

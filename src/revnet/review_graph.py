@@ -1,26 +1,20 @@
-"""Editor-reviewer bipartite snapshots and their reviewer-reviewer projection.
+"""The reviewer-reviewer projection of the editor-reviewer assignments.
 
-A snapshot collects the deduplicated (editor, reviewer) assignment pairs
-dated strictly before a cutoff.  The projection connects two reviewers iff
-they share at least one editor in the snapshot; it is an unweighted simple
-graph.
+A snapshot at a cutoff holds the distinct (editor, reviewer) pairs first
+assigned strictly before it.  The projection connects two reviewers iff they
+share at least one editor in the snapshot; it is an unweighted simple graph.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+
+import numpy as np
 
 from .corpus import Corpus
-
-
-@dataclass(frozen=True)
-class BipartiteSnapshot:
-    cutoff: dt.date
-    editor_ids: frozenset[str]
-    reviewer_ids: frozenset[str]
-    assignments: frozenset[tuple[str, str]]  # (editor_id, reviewer_id)
 
 
 @dataclass(frozen=True)
@@ -39,56 +33,35 @@ class ReviewGraph:
     def n(self) -> int:
         return len(self.nodes)
 
-    def index_of(self, reviewer_id: str) -> Optional[int]:
-        i = self._index.get(reviewer_id)
-        return i
-
-    @property
-    def _index(self) -> dict[str, int]:
-        cached = self.__dict__.get("_index_cache")
-        if cached is None:
-            cached = {r: i for i, r in enumerate(self.nodes)}
-            self.__dict__["_index_cache"] = cached
-        return cached
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Position of each reviewer in ``nodes``."""
+        return {r: i for i, r in enumerate(self.nodes)}
 
 
-def snapshot(corpus: Corpus, cutoff: dt.date = dt.date.max) -> BipartiteSnapshot:
-    """Assignment pairs dated strictly before ``cutoff``."""
-    pairs = set()
-    editors = set()
-    reviewers = set()
-    for plist in corpus.assignments.values():
-        for a in plist:
-            if a.date < cutoff:
-                pairs.add((a.editor_id, a.reviewer_id))
-                editors.add(a.editor_id)
-                reviewers.add(a.reviewer_id)
-    return BipartiteSnapshot(cutoff, frozenset(editors), frozenset(reviewers),
-                             frozenset(pairs))
-
-
-def project(snap: BipartiteSnapshot) -> ReviewGraph:
-    """One-mode projection onto reviewers: edge iff >= 1 shared editor.
-
-    Reviewers who share no editor-partner remain as degree-0 nodes.
-    """
-    nodes = tuple(sorted(snap.reviewer_ids))
-    index = {r: i for i, r in enumerate(nodes)}
-    by_editor: dict[str, list[int]] = {}
-    for editor, reviewer in snap.assignments:
-        by_editor.setdefault(editor, []).append(index[reviewer])
-
-    neighbor_sets: list[set[int]] = [set() for _ in nodes]
-    for members in by_editor.values():
-        members.sort()
-        for i, u in enumerate(members):
-            for v in members[i + 1:]:
-                neighbor_sets[u].add(v)
-                neighbor_sets[v].add(u)
-
-    adj = tuple(tuple(sorted(s)) for s in neighbor_sets)
-    return ReviewGraph(snap.cutoff, nodes, adj)
+def pairs_before(corpus: Corpus, cutoff: dt.date) -> int:
+    """How many of ``corpus.pairs`` were first assigned strictly before
+    ``cutoff``; a later cutoff's pairs extend an earlier one's."""
+    return bisect_left(corpus.pair_dates, cutoff)
 
 
 def build_graph(corpus: Corpus, cutoff: dt.date = dt.date.max) -> ReviewGraph:
-    return project(snapshot(corpus, cutoff))
+    """One-mode projection onto reviewers of the snapshot at ``cutoff``.
+
+    With ``B`` the editor x reviewer 0/1 incidence matrix of the snapshot,
+    ``(B.T @ B)[u, v]`` counts the editors ``u`` and ``v`` share, exactly.
+    Reviewers who share no editor-partner remain as degree-0 nodes.
+    """
+    pairs = corpus.pairs[:pairs_before(corpus, cutoff)]
+    nodes = tuple(sorted({r for _, r in pairs}))
+    index = {r: i for i, r in enumerate(nodes)}
+    editors = {e: i for i, e in enumerate(dict.fromkeys(e for e, _ in pairs))}
+    B = np.zeros((len(editors), len(nodes)))
+    B[[editors[e] for e, _ in pairs], [index[r] for _, r in pairs]] = 1.0
+    linked = B.T @ B > 0.0
+    np.fill_diagonal(linked, False)
+    # row-major positions of the links; a flat search beats a 2-D np.nonzero
+    neighbors = (np.flatnonzero(linked) % len(nodes)).tolist()
+    ends = np.cumsum(np.count_nonzero(linked, axis=1)).tolist()
+    adj = tuple(tuple(neighbors[a:b]) for a, b in zip([0] + ends, ends))
+    return ReviewGraph(cutoff, nodes, adj)

@@ -41,6 +41,10 @@ class Lexicon:
     categories: dict[str, frozenset[str]]
     # word -> +1 (positive) or -1 (negative), for one-pass sentiment counts
     polarity: dict[str, int] = field(init=False, repr=False, compare=False)
+    # word -> indexes into CATEGORIES of the lists holding it, for one-pass
+    # category counts
+    word_categories: dict[str, tuple[int, ...]] = field(init=False, repr=False,
+                                                        compare=False)
 
     def __post_init__(self):
         overlap = self.positive & self.negative
@@ -49,6 +53,11 @@ class Lexicon:
         polarity = dict.fromkeys(self.positive, 1)
         polarity.update(dict.fromkeys(self.negative, -1))
         object.__setattr__(self, "polarity", polarity)
+        word_categories: dict[str, tuple[int, ...]] = {}
+        for i, name in enumerate(CATEGORIES):
+            for word in self.categories[name]:
+                word_categories[word] = word_categories.get(word, ()) + (i,)
+        object.__setattr__(self, "word_categories", word_categories)
 
 
 def _read_word_file(path) -> frozenset[str]:
@@ -102,7 +111,8 @@ def category_percentages(text: str, lexicon: Lexicon) -> dict[str, float]:
     tokens = tokenize(text)
     if not tokens:
         return {name: 0.0 for name in CATEGORIES}
-    return {
-        name: 100.0 * sum(1 for t in tokens if t in lexicon.categories[name]) / len(tokens)
-        for name in CATEGORIES
-    }
+    hits = [0] * len(CATEGORIES)
+    for indexes in filter(None, map(lexicon.word_categories.get, tokens)):
+        for i in indexes:
+            hits[i] += 1
+    return {name: 100.0 * hits[i] / len(tokens) for i, name in enumerate(CATEGORIES)}

@@ -12,13 +12,16 @@ import math
 import random
 import re
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
+from revnet import centrality
+from revnet.centrality import CentralityTable
 from revnet.corpus import (Assignment, AuthorProfile, CitationRecord, Corpus,
                            Decision, Report, ReviewerProfile, Submission)
 from revnet.review_graph import ReviewGraph
-from revnet.text_metrics import Lexicon
+from revnet.text_metrics import CATEGORIES, Lexicon
 
 FAR_FUTURE = dt.date(2100, 1, 1)
 
@@ -227,6 +230,149 @@ def reference_clustering(graph: ReviewGraph) -> np.ndarray:
     return out
 
 
+def reference_masked_brandes_pass(graph: ReviewGraph):
+    """The boolean-mask form of ``revnet.centrality._brandes_pass``: every
+    level is selected with ``np.where`` and boolean indexing, the level-0
+    forward product is taken, and the level-1 backward step runs, writing
+    the sources' dependencies before they are zeroed.
+
+    Returns (raw betweenness with each pair counted twice, distance sums,
+    reachable-component sizes).
+    """
+    n = graph.n
+    A = adjacency_matrix(graph)
+    bc = np.zeros(n)
+    dist_sum = np.zeros(n, dtype=np.int64)
+    comp_size = np.ones(n, dtype=np.int64)
+
+    block = centrality.SOURCE_BLOCK
+    for lo in range(0, n, block):
+        sources = np.arange(lo, min(lo + block, n))
+        rows = np.arange(len(sources))
+        dist = np.full((len(sources), n), -1, dtype=np.int64)
+        sigma = np.zeros((len(sources), n))
+        dist[rows, sources] = 0
+        sigma[rows, sources] = 1.0
+        frontier = dist == 0
+        depth = 0
+        while True:
+            paths = np.where(frontier, sigma, 0.0) @ A
+            frontier = (paths > 0.0) & (dist < 0)
+            if not frontier.any():
+                break
+            depth += 1
+            sigma[frontier] = paths[frontier]
+            dist[frontier] = depth
+
+        delta = np.zeros_like(sigma)
+        for d in range(depth, 0, -1):
+            coeff = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma),
+                              where=dist == d)
+            parents = dist == d - 1
+            delta[parents] += sigma[parents] * (coeff @ A)[parents]
+        delta[rows, sources] = 0.0
+        bc += delta.sum(axis=0)
+        reached = dist >= 0
+        dist_sum[sources] = np.where(reached, dist, 0).sum(axis=1)
+        comp_size[sources] = reached.sum(axis=1)
+
+    return bc, dist_sum, comp_size
+
+
+def reference_add_at_pagerank(graph: ReviewGraph, damping: float = 0.85,
+                              tol: float = 1e-9, max_iter: int = 200):
+    """``revnet.centrality.pagerank`` with the edge lists read from
+    ``graph.adj`` and the sums taken by ``np.add.at``."""
+    n = graph.n
+    if n == 0:
+        return np.zeros(0), True
+    degrees = np.array([len(a) for a in graph.adj], dtype=np.float64)
+    src = np.array([u for u in range(n) for _ in graph.adj[u]], dtype=np.int64)
+    dst = np.array([v for u in range(n) for v in graph.adj[u]], dtype=np.int64)
+    dangling = degrees == 0
+    inv_deg = np.where(dangling, 0.0, 1.0 / np.maximum(degrees, 1.0))
+
+    pr = np.full(n, 1.0 / n)
+    converged = False
+    for _ in range(max_iter):
+        contrib = pr * inv_deg
+        nxt = np.zeros(n)
+        np.add.at(nxt, dst, contrib[src])
+        dangling_mass = pr[dangling].sum()
+        nxt = (1.0 - damping) / n + damping * (nxt + dangling_mass / n)
+        if np.abs(nxt - pr).sum() < tol:
+            pr = nxt
+            converged = True
+            break
+        pr = nxt
+    return pr, converged
+
+
+def reference_table(graph: ReviewGraph) -> CentralityTable:
+    """``revnet.centrality.compute_table`` from the masked Brandes pass and
+    the ``np.add.at`` PageRank."""
+    n = graph.n
+    bc_raw, dist_sum, comp_size = reference_masked_brandes_pass(graph)
+    pr, ok = reference_add_at_pagerank(graph)
+    return CentralityTable(
+        nodes=graph.nodes,
+        degree=np.array([len(a) for a in graph.adj], dtype=np.int64),
+        betweenness=(np.zeros(n) if n < 3 else bc_raw / ((n - 1) * (n - 2))),
+        closeness=reference_closeness_from_sums(dist_sum, comp_size, n),
+        clustering=reference_clustering(graph),
+        pagerank=pr,
+        pagerank_converged=ok,
+    )
+
+
+# -- reference form of the snapshot projection -------------------------------
+
+
+@dataclass(frozen=True)
+class BipartiteSnapshot:
+    cutoff: dt.date
+    editor_ids: frozenset[str]
+    reviewer_ids: frozenset[str]
+    assignments: frozenset[tuple[str, str]]  # (editor_id, reviewer_id)
+
+
+def reference_snapshot(corpus: Corpus, cutoff: dt.date = dt.date.max) -> BipartiteSnapshot:
+    """Assignment pairs dated strictly before ``cutoff``, by a rescan of
+    every assignment."""
+    pairs = set()
+    editors = set()
+    reviewers = set()
+    for plist in corpus.assignments.values():
+        for a in plist:
+            if a.date < cutoff:
+                pairs.add((a.editor_id, a.reviewer_id))
+                editors.add(a.editor_id)
+                reviewers.add(a.reviewer_id)
+    return BipartiteSnapshot(cutoff, frozenset(editors), frozenset(reviewers),
+                             frozenset(pairs))
+
+
+def reference_project(snap: BipartiteSnapshot) -> ReviewGraph:
+    """Editor-pool form of ``revnet.review_graph.build_graph``'s projection:
+    each editor links every pair of its reviewers."""
+    nodes = tuple(sorted(snap.reviewer_ids))
+    index = {r: i for i, r in enumerate(nodes)}
+    by_editor: dict[str, list[int]] = {}
+    for editor, reviewer in snap.assignments:
+        by_editor.setdefault(editor, []).append(index[reviewer])
+
+    neighbor_sets: list[set[int]] = [set() for _ in nodes]
+    for members in by_editor.values():
+        members.sort()
+        for i, u in enumerate(members):
+            for v in members[i + 1:]:
+                neighbor_sets[u].add(v)
+                neighbor_sets[v].add(u)
+
+    adj = tuple(tuple(sorted(s)) for s in neighbor_sets)
+    return ReviewGraph(snap.cutoff, nodes, adj)
+
+
 # -- reference forms of the as-of profiles ----------------------------------
 
 
@@ -303,6 +449,17 @@ def reference_sentiment_score(text: str, lexicon: Lexicon) -> float:
     return (pos - neg) / len(tokens)
 
 
+def reference_category_percentages(text: str, lexicon: Lexicon) -> dict[str, float]:
+    """One counting pass over the regex tokens per category."""
+    tokens = reference_tokenize(text)
+    if not tokens:
+        return {name: 0.0 for name in CATEGORIES}
+    return {
+        name: 100.0 * sum(1 for t in tokens if t in lexicon.categories[name]) / len(tokens)
+        for name in CATEGORIES
+    }
+
+
 def _reference_mean_or_nan(values: list[float]) -> float:
     return float(np.mean(values)) if values else float("nan")
 
@@ -356,6 +513,42 @@ def reference_supporting_features(paper_id: str, corpus: Corpus,
 
 
 # -- corpus builders ---------------------------------------------------------
+
+
+# one well-formed record of each type, in a valid order
+SAMPLE = [
+    {"type": "submission", "paper_id": "p1", "date": "2010-01-05",
+     "author_ids": ["a1", "a2"], "title": "T"},
+    {"type": "assignment", "paper_id": "p1", "date": "2010-01-10",
+     "editor_id": "e1", "reviewer_id": "r1", "round": 1},
+    {"type": "report", "paper_id": "p1", "date": "2010-02-20",
+     "reviewer_id": "r1", "round": 1, "text": "good results",
+     "recommendation": "accept"},
+    {"type": "decision", "paper_id": "p1", "date": "2010-02-25",
+     "outcome": "accept", "round": 1},
+    {"type": "citation", "paper_id": "p1", "date": "2013-12-31",
+     "cumulative_citations": 17, "as_of_year": 2013},
+]
+
+
+# (SAMPLE index, field, wrongly typed value, expected message fragment)
+WRONGLY_TYPED = [
+    (4, "cumulative_citations", 2.7, "cumulative_citations must be a non-negative integer"),
+    (4, "cumulative_citations", True, "cumulative_citations must be a non-negative integer"),
+    (4, "cumulative_citations", "17", "cumulative_citations must be a non-negative integer"),
+    (4, "as_of_year", True, "as_of_year must be an integer"),
+    (4, "as_of_year", 2013.5, "as_of_year must be an integer"),
+    (4, "as_of_year", None, "as_of_year must be an integer"),
+    (2, "text", None, "text must be a string"),
+    (2, "recommendation", None, "recommendation must be a string"),
+    (3, "outcome", None, "outcome must be a string"),
+    (1, "reviewer_id", None, "reviewer_id must be a string"),
+    (1, "editor_id", 3, "editor_id must be a string"),
+    (0, "paper_id", 17, "paper_id must be a string"),
+    (0, "author_ids", ["a1", None], "author_ids must be a non-empty list of strings"),
+    (0, "author_ids", [1], "author_ids must be a non-empty list of strings"),
+    (0, "author_ids", "a1", "author_ids must be a non-empty list of strings"),
+]
 
 
 def minimal_paper(pid: str, sub_date: dt.date, authors=("a1",),

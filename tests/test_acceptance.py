@@ -22,13 +22,14 @@ from revnet.corpus import (Assignment, CitationRecord, Corpus, Decision,
 from revnet.features import (FEATURE_NAMES, NETWORK_FEATURES, SnapshotCache,
                              assemble_matrix, feature_vector,
                              supporting_features)
-from revnet.review_graph import project, snapshot
+from revnet.review_graph import build_graph
 from revnet.synth import SynthConfig, generate
 from revnet.text_metrics import load_lexicon
 
 from helpers import (brute_projection_edges, graph_edges, graph_from_edges,
                      oracle_betweenness, oracle_closeness, oracle_clustering,
-                     random_assignment_events, random_graph)
+                     random_assignment_events, random_graph,
+                     reference_snapshot)
 
 LEXICON = load_lexicon()
 
@@ -95,8 +96,9 @@ def test_criterion_03_projection_matches_brute_force():
             n_reviewers=rng.randrange(2, 31))
         corpus = Corpus(events)
         cutoff = dt.date(2010, 1, 1) + dt.timedelta(days=rng.randrange(0, 800))
-        snap = snapshot(corpus, cutoff)
-        graph = project(snap)
+        snap = reference_snapshot(corpus, cutoff)
+        graph = build_graph(corpus, cutoff)
+        assert graph.nodes == tuple(sorted(snap.reviewer_ids))
         got = {(graph.nodes[u], graph.nodes[v]) for u, v in graph_edges(graph)}
         assert got == brute_projection_edges(snap)
     report(3, "100 corpora projected exactly")

@@ -9,7 +9,7 @@ from revnet.centrality import clustering, compute_table, degree, pagerank
 from helpers import (graph_from_edges, oracle_betweenness, oracle_closeness,
                      oracle_clustering, oracle_pagerank, random_graph,
                      reference_brandes_pass, reference_closeness_from_sums,
-                     reference_clustering)
+                     reference_clustering, reference_table)
 
 
 def path_graph(n):
@@ -151,11 +151,17 @@ def test_compute_table_consistent_with_individual_measures():
 def assert_matches_reference(graph):
     """Degree, closeness, clustering and PageRank byte-equal to the loop
     forms; betweenness, whose sums run in another order, within 1e-12
-    relative (zero exactly where the reference is zero)."""
+    relative (zero exactly where the reference is zero).  All five measures
+    byte-equal to the masked Brandes pass and the ``np.add.at`` PageRank."""
     n = graph.n
     table = compute_table(graph)
+    masked = reference_table(graph)
+    for measure in centrality.MEASURES:
+        assert getattr(table, measure).tobytes() == getattr(masked, measure).tobytes()
+    assert table.pagerank_converged == masked.pagerank_converged
     bc_raw, dist_sum, comp_size = reference_brandes_pass(graph)
-    _, new_dist_sum, new_comp_size = centrality._brandes_pass(graph)
+    _, new_dist_sum, new_comp_size = centrality._brandes_pass(
+        centrality._adjacency(graph))
     assert new_dist_sum.tolist() == dist_sum and new_comp_size.tolist() == comp_size
     expected_bc = np.zeros(n) if n < 3 else np.array(bc_raw) / ((n - 1) * (n - 2))
     assert np.all(np.abs(table.betweenness - expected_bc) <= 1e-12 * expected_bc)

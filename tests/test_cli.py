@@ -4,17 +4,23 @@ import functools
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import revnet
 from revnet import centrality, features, svr
 from revnet.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from revnet.corpus import Corpus, Report, write_events
 from revnet.features import NETWORK_FEATURES
 from revnet.text_metrics import CATEGORIES, load_lexicon
 
-from helpers import minimal_paper, reference_supporting_features
+from helpers import (SAMPLE, WRONGLY_TYPED, minimal_paper,
+                     reference_supporting_features)
 
 
 def run(capsys, *argv):
@@ -80,6 +86,50 @@ def test_validate_flags_broken_log(tmp_path, capsys):
     code, out, err = run(capsys, "validate", str(log))
     assert code == EXIT_VALIDATION
     assert "error" in err
+
+
+@pytest.mark.parametrize("index, field, value, fragment", WRONGLY_TYPED)
+def test_wrongly_typed_field_fails_validation_naming_the_line(
+        tmp_path, capsys, index, field, value, fragment):
+    records = [dict(r) for r in SAMPLE]
+    records[index][field] = value
+    log = tmp_path / "typed.jsonl"
+    log.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code, out, err = run(capsys, "validate", str(log))
+    assert code == EXIT_VALIDATION
+    assert f"line {index + 1}: {fragment}" in err and "Traceback" not in err
+    code, out, err = run(capsys, "features", str(log), str(tmp_path / "features"),
+                         "--year-from", "2010", "--year-to", "2010")
+    assert code == EXIT_VALIDATION
+    assert f"line {index + 1}: {fragment}" in err
+
+
+def run_cli_process(hash_seed, *argv):
+    """``revnet`` in a fresh interpreter whose string hashing is seeded
+    with ``hash_seed``, so set and dict iteration order differ by seed."""
+    src = str(Path(revnet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "revnet.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == EXIT_OK, proc.stderr
+
+
+def test_outputs_do_not_depend_on_string_hashing(workspace, tmp_path):
+    log = str(workspace / "events.jsonl")
+    outputs = []
+    for hash_seed in (1, 2):
+        out = tmp_path / f"hash{hash_seed}"
+        run_cli_process(hash_seed, "features", log, str(out / "features"),
+                        "--year-from", "2008", "--year-to", "2010")
+        run_cli_process(hash_seed, "analyze", log, str(out / "analysis"))
+        files = sorted([out / "features" / "features.csv",
+                        out / "features" / "features.csv.missing",
+                        *(out / "analysis").glob("*.csv")])
+        outputs.append({f.relative_to(out).as_posix(): f.read_bytes() for f in files})
+    assert len(outputs[0]) > 10 and outputs[0].keys() == outputs[1].keys()
+    for name in outputs[0]:
+        assert outputs[0][name] == outputs[1][name], name
 
 
 def test_missing_input_is_io_error(tmp_path, capsys):

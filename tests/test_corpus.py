@@ -7,29 +7,14 @@ from revnet.corpus import (Assignment, CitationRecord, Corpus, CorpusError,
                            Decision, Report, Submission, event_to_record,
                            parse_events, validate_events, write_events)
 
-from helpers import (minimal_paper, reference_author_profile,
-                     reference_reviewer_profile)
+from helpers import (SAMPLE, WRONGLY_TYPED, minimal_paper,
+                     reference_author_profile, reference_reviewer_profile)
 
 D = dt.date
 
 
 def lines_of(records):
     return [json.dumps(r) for r in records]
-
-
-SAMPLE = [
-    {"type": "submission", "paper_id": "p1", "date": "2010-01-05",
-     "author_ids": ["a1", "a2"], "title": "T"},
-    {"type": "assignment", "paper_id": "p1", "date": "2010-01-10",
-     "editor_id": "e1", "reviewer_id": "r1", "round": 1},
-    {"type": "report", "paper_id": "p1", "date": "2010-02-20",
-     "reviewer_id": "r1", "round": 1, "text": "good results",
-     "recommendation": "accept"},
-    {"type": "decision", "paper_id": "p1", "date": "2010-02-25",
-     "outcome": "accept", "round": 1},
-    {"type": "citation", "paper_id": "p1", "date": "2013-12-31",
-     "cumulative_citations": 17, "as_of_year": 2013},
-]
 
 
 def test_parse_well_formed_log():
@@ -79,6 +64,23 @@ def test_parse_rejects_bad_submission_and_citation():
     bad_out = dict(SAMPLE[3], outcome="tabled")
     _, errors = parse_events(lines_of([bad_sub, bad_cite, bad_rec, bad_out]))
     assert [e.line for e in errors] == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("index, field, value, fragment", WRONGLY_TYPED)
+def test_parse_rejects_wrongly_typed_fields(index, field, value, fragment):
+    record = dict(SAMPLE[index], **{field: value})
+    events, errors = parse_events(lines_of([record]))
+    assert events == []
+    assert len(errors) == 1 and fragment in errors[0].message
+
+
+def test_parse_accepts_integral_float_counts():
+    events, errors = parse_events(lines_of([
+        dict(SAMPLE[4], cumulative_citations=17.0, as_of_year=2013.0)]))
+    assert errors == []
+    assert events[0].cumulative_citations == 17 and events[0].as_of_year == 2013
+    assert type(events[0].cumulative_citations) is int
+    assert type(events[0].as_of_year) is int
 
 
 def test_parse_never_raises_on_garbage():

@@ -127,21 +127,42 @@ def test_snapshot_cache_is_reused(monkeypatch):
     assert cache.stats() == {"snapshot_dates": 1, "snapshot_tables": 1,
                              "nodes_max": 3, "pagerank_nonconverged": 0}
 
-    # a later date with the same projection shares the table; a date after
-    # pX's assignments (rNew joins e1's pool) gets a table of its own
+    # a later date with the same pairs shares the graph and the table; a date
+    # after pX's assignments (rNew joins e1's pool) gets a table of its own
     calls = []
+    builds = []
     compute = features.centrality.compute_table
+    build = features.build_graph
     monkeypatch.setattr(features.centrality, "compute_table",
                         lambda graph: calls.append(graph.cutoff) or compute(graph))
-    graph_x, table_x = cache.table(D(2010, 1, 1))
-    graph_y, table_y = cache.table(D(2010, 1, 4))
-    assert graph_y.cutoff == D(2010, 1, 4) and graph_y.adj == graph_x.adj
-    assert table_y is table_x and calls == []
-    graph_z, table_z = cache.table(D(2010, 2, 1))
-    assert graph_z.n == 4 and table_z is not table_x
-    assert calls == [D(2010, 2, 1)]
+    monkeypatch.setattr(features, "build_graph",
+                        lambda corpus, cutoff: builds.append(cutoff) or build(corpus, cutoff))
+    index_x, table_x = cache.table(D(2010, 1, 1))
+    index_y, table_y = cache.table(D(2010, 1, 4))
+    assert index_y == index_x == {"r1": 0, "r2": 1, "r3": 2}
+    assert table_y is table_x and calls == [] and builds == []
+    index_z, table_z = cache.table(D(2010, 2, 1))
+    assert len(index_z) == 4 and table_z is not table_x
+    assert calls == builds == [D(2010, 2, 1)]
     assert cache.stats() == {"snapshot_dates": 3, "snapshot_tables": 2,
                              "nodes_max": 4, "pagerank_nonconverged": 0}
+
+
+def test_snapshot_cache_shares_a_table_between_equal_graphs():
+    # e1 -> {r1, r2} first, then e2 -> {r1, r2}: a new pair, the same graph
+    events = [
+        Submission("p1", D(2010, 1, 1), ("a1",), ""),
+        Assignment("p1", D(2010, 1, 2), "e1", "r1", 1),
+        Assignment("p1", D(2010, 1, 2), "e1", "r2", 1),
+        Submission("p2", D(2010, 2, 1), ("a2",), ""),
+        Assignment("p2", D(2010, 2, 2), "e2", "r1", 1),
+        Assignment("p2", D(2010, 2, 2), "e2", "r2", 1),
+    ]
+    cache = SnapshotCache(Corpus(events))
+    _, before = cache.table(D(2010, 2, 1))
+    _, after = cache.table(D(2011, 1, 1))
+    assert after is before
+    assert cache.stats()["snapshot_tables"] == 1
 
 
 # -- supporting features -----------------------------------------------------

@@ -9,15 +9,17 @@ from hypothesis import strategies as st
 
 from revnet.analysis import (bucket_fixed_width, bucket_powers_of_two,
                              bucket_ratio_decile, empirical_cdf)
-from revnet.centrality import compute_table
+from revnet.centrality import MEASURES, compute_table
 from revnet.corpus import Assignment, Corpus, Decision, Report, Submission
 from revnet.features import citation_rank_targets, supporting_features
+from revnet.review_graph import build_graph
 from revnet.svr import f_statistic
-from revnet.text_metrics import load_lexicon, tokenize
+from revnet.text_metrics import category_percentages, load_lexicon, tokenize
 
 from helpers import (graph_from_edges, reference_author_profile,
-                     reference_reviewer_profile, reference_supporting_features,
-                     reference_tokenize)
+                     reference_category_percentages, reference_project, reference_reviewer_profile,
+                     reference_snapshot, reference_supporting_features,
+                     reference_table, reference_tokenize)
 
 LEXICON = load_lexicon()
 
@@ -120,6 +122,17 @@ def test_tokenize_matches_the_regex_tokenizer(text):
     assert tokenize(text) == reference_tokenize(text)
 
 
+CATEGORY_WORDS = sorted(set().union(*LEXICON.categories.values()))
+
+
+@given(st.lists(st.sampled_from(CATEGORY_WORDS) | st.text(max_size=6),
+                max_size=40).map(" ".join))
+@settings(max_examples=200)
+def test_category_percentages_match_the_per_category_passes(text):
+    assert category_percentages(text, LEXICON) == \
+        reference_category_percentages(text, LEXICON)
+
+
 BASE_DATE = dt.date(2010, 1, 1)
 AUTHORS = ("a0", "a1", "a2", "a3")
 REVIEWERS = ("r0", "r1", "r2", "r3")
@@ -179,3 +192,50 @@ def test_supporting_features_match_the_reference_bytes(events):
     for pid in corpus.submissions:
         assert supporting_features(pid, corpus, LEXICON).tobytes() == \
             reference_supporting_features(pid, corpus, LEXICON).tobytes()
+
+
+EDITORS = ("e0", "e1", "e2")
+POOL = tuple(f"r{i}" for i in range(8))
+
+
+@st.composite
+def assignment_logs(draw):
+    """Papers with one editor and up to four reviewers each, over a short
+    span of days, so that pairs repeat and first-assignment dates collide."""
+    events = []
+    for k in range(draw(st.integers(0, 10))):
+        pid = f"p{k}"
+        sub = BASE_DATE + dt.timedelta(days=draw(st.integers(0, 30)))
+        events.append(Submission(pid, sub, ("a0",), ""))
+        editor = draw(st.sampled_from(EDITORS))
+        for rid in draw(st.lists(st.sampled_from(POOL), max_size=4, unique=True)):
+            day = sub + dt.timedelta(days=draw(st.integers(0, 10)))
+            events.append(Assignment(pid, day, editor, rid, 1))
+    return events
+
+
+def paper(pid, day, editor, *reviewers):
+    sub = BASE_DATE + dt.timedelta(days=day)
+    return [Submission(pid, sub, ("a0",), "")] + [
+        Assignment(pid, sub + dt.timedelta(days=1), editor, rid, 1)
+        for rid in reviewers]
+
+
+@given(assignment_logs(), st.lists(st.integers(-1, 45), min_size=1, max_size=5))
+@example(paper("p0", 0, "e0", "r0", "r1", "r2") + paper("p1", 5, "e0", "r3"),
+         [-1, 3, 20])  # one editor; before any assignment
+@example(paper("p0", 0, "e0", "r0", "r1") + paper("p1", 2, "e1", "r2", "r3")
+         + paper("p2", 4, "e2", "r4"), [2, 4, 9])  # two components and an isolate
+@settings(max_examples=150, deadline=None)
+def test_graphs_and_tables_match_the_rescan_projection(events, offsets):
+    corpus = Corpus(events)
+    cutoffs = [BASE_DATE + dt.timedelta(days=d) for d in offsets] + [dt.date.max]
+    for cutoff in cutoffs:
+        graph = build_graph(corpus, cutoff)
+        expected = reference_project(reference_snapshot(corpus, cutoff))
+        assert graph.nodes == expected.nodes and graph.adj == expected.adj
+        table, reference = compute_table(graph), reference_table(expected)
+        for measure in MEASURES:
+            assert getattr(table, measure).tobytes() == \
+                getattr(reference, measure).tobytes(), measure
+        assert table.pagerank_converged == reference.pagerank_converged

@@ -2,10 +2,10 @@ import datetime as dt
 import random
 
 from revnet.corpus import Assignment, Corpus, Submission
-from revnet.review_graph import build_graph, project, snapshot
+from revnet.review_graph import build_graph
 
 from helpers import (brute_projection_edges, graph_edges,
-                     random_assignment_events)
+                     random_assignment_events, reference_snapshot)
 
 D = dt.date
 
@@ -27,10 +27,11 @@ def two_editor_corpus():
 
 def test_snapshot_is_strictly_before_cutoff():
     corpus = two_editor_corpus()
-    snap = snapshot(corpus, D(2011, 1, 5))  # rD assigned on the cutoff day
-    assert snap.reviewer_ids == frozenset({"rA", "rB", "rC"})
-    assert snap.editor_ids == frozenset({"e1", "e2"})
-    assert ("e1", "rD") not in snap.assignments
+    graph = build_graph(corpus, D(2011, 1, 5))  # rD assigned on the cutoff day
+    assert graph.nodes == ("rA", "rB", "rC")
+    assert graph_edges(graph) == [(0, 1), (1, 2)]
+    assert build_graph(corpus, D(2011, 1, 6)).nodes == ("rA", "rB", "rC", "rD")
+    assert build_graph(corpus, D(2010, 1, 5)).nodes == ()
 
 
 def test_projection_edges_and_metadata():
@@ -39,7 +40,7 @@ def test_projection_edges_and_metadata():
     assert graph.nodes == ("rA", "rB", "rC")
     assert graph_edges(graph) == [(0, 1), (1, 2)]  # rA-rB via e1, rB-rC via e2
     assert len(graph.adj[1]) == 2
-    assert graph.index_of("rB") == 1 and graph.index_of("zz") is None
+    assert graph.index == {"rA": 0, "rB": 1, "rC": 2}
 
 
 def test_duplicate_assignments_do_not_weight_edges():
@@ -87,8 +88,9 @@ def test_projection_matches_brute_force_on_random_corpora():
                                           n_reviewers=rng.randrange(2, 31))
         corpus = Corpus(events)
         cutoff = D(2010, 1, 1) + dt.timedelta(days=rng.randrange(0, 800))
-        snap = snapshot(corpus, cutoff)
-        graph = project(snap)
+        snap = reference_snapshot(corpus, cutoff)
+        graph = build_graph(corpus, cutoff)
+        assert graph.nodes == tuple(sorted(snap.reviewer_ids))
         got = {(graph.nodes[u], graph.nodes[v]) for u, v in graph_edges(graph)}
         assert got == brute_projection_edges(snap)
 

@@ -4,6 +4,8 @@ from revnet.text_metrics import (CATEGORIES, LEXICON_DIR_ENV, Lexicon,
                                  category_percentages, load_lexicon,
                                  sentiment_score, tokenize)
 
+from helpers import reference_category_percentages
+
 
 def test_tokenize_lowercases_and_splits_on_non_letters():
     assert tokenize("Good, very-good! 42 results3here") == \
@@ -38,6 +40,17 @@ def test_category_percentages():
     assert pct["negation"] == pytest.approx(40.0)
     assert pct["insight"] == pytest.approx(20.0)
     assert pct["future_tense"] == 0.0
+
+
+def test_a_word_in_two_categories_counts_in_both():
+    lex = Lexicon(frozenset(), frozenset(),
+                  {name: frozenset() for name in CATEGORIES} | {
+                      "negation": frozenset({"not", "never"}),
+                      "exclusive": frozenset({"not", "but"})})
+    pct = category_percentages("Not but not never", lex)
+    assert pct == reference_category_percentages("Not but not never", lex)
+    assert pct["negation"] == 75.0 and pct["exclusive"] == 75.0
+    assert pct["insight"] == 0.0
     assert set(pct) == set(CATEGORIES)
 
 

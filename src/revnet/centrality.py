@@ -101,6 +101,8 @@ def _brandes_pass(A: np.ndarray):
             sigma += level
             dist_sum[lo:hi] += len(levels) * count
             comp_size[lo:hi] += count
+            if (comp_size[lo:hi] == n).all():
+                break  # every source reached every node: the next level is empty
             paths = level @ A
 
         # off every level sigma may be 0; the mask then zeroes x / 1

@@ -18,7 +18,7 @@ import time
 from typing import Optional
 
 from . import analysis, features, svr, synth
-from .corpus import Corpus, CorpusError, parse_events, validate_events, write_events
+from .corpus import Corpus, CorpusError, read_log, validate_events, write_events
 from .features import FEATURE_NAMES, NETWORK_FEATURES
 from .text_metrics import LEXICON_DIR_ENV, load_lexicon
 
@@ -65,8 +65,7 @@ def _atomic_write(path, text: str) -> None:
 
 def cmd_validate(args) -> int:
     started = time.monotonic()
-    with open(args.log, "r", encoding="utf-8") as fh:
-        events, errors = parse_events(fh)
+    events, errors = read_log(args.log)
     errors = errors + validate_events(events)
     for err in errors:
         print(f"error: {err}", file=sys.stderr)

@@ -14,7 +14,7 @@ import datetime as dt
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterable, Optional, Union
 
 TERMINAL_OUTCOMES = ("accept", "reject", "withdraw")
@@ -121,29 +121,27 @@ class CorpusError(ValueError):
         super().__init__(f"{len(errors)} validation error(s): {preview}{more}")
 
 
-def _parse_date(raw: object) -> dt.date:
-    if not isinstance(raw, str):
+def _date(raw: object) -> dt.date:
+    """Exactly ``YYYY-MM-DD``: Python 3.10's rule and message, which 3.11's
+    ``fromisoformat`` relaxed to compact and week dates."""
+    if type(raw) is not str:
         raise ValueError(f"date must be an ISO string, got {raw!r}")
+    if len(raw) != 10 or raw[4] != "-" or raw[7] != "-":
+        raise ValueError(f"Invalid isoformat string: {raw!r}")
     return dt.date.fromisoformat(raw)
 
 
-def _require(record: dict, key: str) -> object:
-    if key not in record:
-        raise ValueError(f"missing field {key!r}")
-    return record[key]
-
-
-def _require_str(record: dict, key: str) -> str:
-    raw = _require(record, key)
+def _string(record: dict, key: str) -> str:
+    raw = record[key]
     if type(raw) is not str:
         raise ValueError(f"{key} must be a string, got {raw!r}")
     return raw
 
 
-def _require_int(record: dict, key: str, least: Optional[int], kind: str) -> int:
+def _integer(record: dict, key: str, least: Optional[int], kind: str) -> int:
     """An integral JSON number (``2.0`` reads as 2), never a bool, and at
     least ``least`` when that is given; ``kind`` names the rule in errors."""
-    raw = _require(record, key)
+    raw = record[key]
     if type(raw) is float and raw.is_integer():
         raw = int(raw)
     if type(raw) is not int or (least is not None and raw < least):
@@ -151,50 +149,59 @@ def _require_int(record: dict, key: str, least: Optional[int], kind: str) -> int
     return raw
 
 
-def _parse_round(record: dict) -> int:
-    return _require_int(record, "round", 1, "a positive integer")
+# One builder per record kind; a missing field raises KeyError.
+def _submission(record: dict, paper_id: str, date: dt.date) -> Submission:
+    authors = record["author_ids"]
+    if (type(authors) is not list or not authors
+            or not all(type(a) is str for a in authors)):
+        raise ValueError(f"author_ids must be a non-empty list of strings, "
+                         f"got {authors!r}")
+    title = record.get("title", "")
+    if type(title) is not str:
+        raise ValueError(f"title must be a string, got {title!r}")
+    return Submission(paper_id, date, tuple(authors), title)
 
 
-def _parse_record(record: dict) -> ReviewEvent:
-    kind = _require(record, "type")
-    paper_id = _require_str(record, "paper_id")
-    date = _parse_date(_require(record, "date"))
-    if kind == "submission":
-        authors = _require(record, "author_ids")
-        if (type(authors) is not list or not authors
-                or not all(type(a) is str for a in authors)):
-            raise ValueError(f"author_ids must be a non-empty list of strings, "
-                             f"got {authors!r}")
-        return Submission(paper_id, date, tuple(authors), str(record.get("title", "")))
-    if kind == "assignment":
-        rnd = _parse_round(record)
-        return Assignment(paper_id, date, _require_str(record, "editor_id"),
-                          _require_str(record, "reviewer_id"), rnd)
-    if kind == "report":
-        rnd = _parse_round(record)
-        rec = _require_str(record, "recommendation")
-        if rec not in RECOMMENDATIONS:
-            raise ValueError(f"unknown recommendation {rec!r}")
-        return Report(paper_id, date, _require_str(record, "reviewer_id"),
-                      rnd, _require_str(record, "text"), rec)
-    if kind == "decision":
-        outcome = _require_str(record, "outcome")
-        if outcome not in TERMINAL_OUTCOMES:
-            raise ValueError(f"unknown outcome {outcome!r}")
-        rnd = _parse_round(record)
-        return Decision(paper_id, date, outcome, rnd)
-    if kind == "citation":
-        cites = _require_int(record, "cumulative_citations", 0, "a non-negative integer")
-        year = _require_int(record, "as_of_year", None, "an integer")
-        return CitationRecord(paper_id, date, cites, year)
-    raise ValueError(f"unknown event type {kind!r}")
+def _assignment(record: dict, paper_id: str, date: dt.date) -> Assignment:
+    rnd = _integer(record, "round", 1, "a positive integer")
+    return Assignment(paper_id, date, _string(record, "editor_id"),
+                      _string(record, "reviewer_id"), rnd)
+
+
+def _report(record: dict, paper_id: str, date: dt.date) -> Report:
+    rnd = _integer(record, "round", 1, "a positive integer")
+    rec = _string(record, "recommendation")
+    if rec not in RECOMMENDATIONS:
+        raise ValueError(f"unknown recommendation {rec!r}")
+    return Report(paper_id, date, _string(record, "reviewer_id"), rnd,
+                  _string(record, "text"), rec)
+
+
+def _decision(record: dict, paper_id: str, date: dt.date) -> Decision:
+    outcome = _string(record, "outcome")
+    if outcome not in TERMINAL_OUTCOMES:
+        raise ValueError(f"unknown outcome {outcome!r}")
+    rnd = _integer(record, "round", 1, "a positive integer")
+    return Decision(paper_id, date, outcome, rnd)
+
+
+def _citation(record: dict, paper_id: str, date: dt.date) -> CitationRecord:
+    cites = _integer(record, "cumulative_citations", 0, "a non-negative integer")
+    return CitationRecord(paper_id, date, cites,
+                          _integer(record, "as_of_year", None, "an integer"))
+
+
+_BUILDERS = {"submission": _submission, "assignment": _assignment,
+             "report": _report, "decision": _decision, "citation": _citation}
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 def parse_events(lines: Iterable[str]) -> tuple[list[ReviewEvent], list[LogError]]:
     """Parse line-delimited records, keeping file order.
 
     Returns the well-formed events plus per-line diagnostics for every
-    ill-formed line; parsing never raises on bad input lines.
+    ill-formed line, one not encodable as UTF-8 included; parsing never
+    raises on bad input lines.
     """
     events: list[ReviewEvent] = []
     errors: list[LogError] = []
@@ -203,62 +210,96 @@ def parse_events(lines: Iterable[str]) -> tuple[list[ReviewEvent], list[LogError
         if not line:
             continue
         try:
-            record = json.loads(line)
-            if not isinstance(record, dict):
+            if not line.isascii():
+                line.encode("utf-8")  # fails on a byte read_log could not decode
+            try:  # json.loads checks the same, slower, and words the diagnostic
+                record, end = _raw_decode(line)
+            except ValueError:
+                end = -1
+            if end != len(line):
+                record = json.loads(line)
+            if type(record) is not dict:
                 raise ValueError("record must be a JSON object")
-            events.append(_parse_record(record))
+            kind = record["type"]
+            paper_id = _string(record, "paper_id")
+            date = _date(record["date"])
+            build = _BUILDERS.get(kind) if type(kind) is str else None
+            if build is None:
+                raise ValueError(f"unknown event type {kind!r}")
+            events.append(build(record, paper_id, date))
+        except UnicodeEncodeError:
+            errors.append(LogError(lineno, "not valid UTF-8"))
+        except KeyError as exc:
+            errors.append(LogError(lineno, f"missing field {exc.args[0]!r}"))
         except (ValueError, TypeError) as exc:
             errors.append(LogError(lineno, str(exc)))
     return events, errors
 
 
-def validate_events(events: list[ReviewEvent]) -> list[LogError]:
-    """Check the cross-event invariants of a parsed log.
+def read_log(path) -> tuple[list[ReviewEvent], list[LogError]]:
+    """:func:`parse_events` over a log file.  A byte that is not UTF-8 is
+    read as a lone surrogate, which ``parse_events`` reports by line."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        return parse_events(fh)
 
-    Besides identity and round rules, no assignment, report or decision may
-    predate its paper's submission, and no assignment or report may postdate
-    the paper's terminal decision.  Positions in the returned diagnostics are
-    1-based indexes into ``events``.
+
+def _walk(events: list[ReviewEvent]):
+    """One pass over the events: the diagnostics of :func:`validate_events`
+    and, for a valid log, the maps :class:`Corpus` keeps by paper (the
+    submission, assignments, reports, decision and latest citation record).
     """
     errors: list[LogError] = []
-    submission: dict[str, Submission] = {}
-    decided: dict[str, Decision] = {}
+    submissions: dict[str, Submission] = {}
+    assignments: dict[str, list[Assignment]] = {}
+    reports: dict[str, list[Report]] = {}
+    decisions: dict[str, Decision] = {}
+    citations: dict[str, CitationRecord] = {}
     rounds: dict[str, set[int]] = {}
-    reviewing: list[tuple[int, Union[Assignment, Report]]] = []
+    reviewing: list[int] = []  # positions of assignments and reports
 
     for pos, ev in enumerate(events, start=1):
         pid = ev.paper_id
         if isinstance(ev, Submission):
-            if pid in submission:
+            if pid in submissions:
                 errors.append(LogError(pos, f"duplicate submission for paper {pid}"))
             else:
-                submission[pid] = ev
+                submissions[pid] = ev
             continue
-        if pid not in submission:
+        sub = submissions.get(pid)
+        if sub is None:
             errors.append(LogError(
                 pos, f"{type(ev).__name__.lower()} for paper {pid} without prior submission"))
             continue
         if isinstance(ev, CitationRecord):
-            if pid not in decided:
+            if pid not in decisions:
                 errors.append(LogError(
                     pos, f"citation record for paper {pid} before any terminal decision"))
+            else:
+                current = citations.get(pid)
+                if current is None or ev.date >= current.date:
+                    citations[pid] = ev
             continue
         rounds.setdefault(pid, set()).add(ev.round)
-        if ev.date < submission[pid].date:
+        if ev.date < sub.date:
             errors.append(LogError(
                 pos, f"{type(ev).__name__.lower()} for paper {pid} dated {ev.date} "
-                     f"before its submission on {submission[pid].date}"))
+                     f"before its submission on {sub.date}"))
         if isinstance(ev, Decision):
-            if pid in decided:
+            if pid in decisions:
                 errors.append(LogError(pos, f"duplicate terminal decision for paper {pid}"))
             else:
-                decided[pid] = ev
+                decisions[pid] = ev
         else:
-            reviewing.append((pos, ev))
+            reviewing.append(pos)
+            if isinstance(ev, Assignment):
+                assignments.setdefault(pid, []).append(ev)
+            else:
+                reports.setdefault(pid, []).append(ev)
 
     # the decision may come later in the file than the events it closes
-    for pos, ev in reviewing:
-        dec = decided.get(ev.paper_id)
+    for pos in reviewing:
+        ev = events[pos - 1]
+        dec = decisions.get(ev.paper_id)
         if dec is not None and ev.date > dec.date:
             errors.append(LogError(
                 pos, f"{type(ev).__name__.lower()} for paper {ev.paper_id} dated "
@@ -269,7 +310,18 @@ def validate_events(events: list[ReviewEvent]) -> list[LogError]:
         if seen != expected:
             errors.append(LogError(
                 0, f"paper {pid}: rounds {sorted(seen)} are not contiguous from 1"))
-    return errors
+    return errors, submissions, assignments, reports, decisions, citations
+
+
+def validate_events(events: list[ReviewEvent]) -> list[LogError]:
+    """Check the cross-event invariants of a parsed log.
+
+    Besides identity and round rules, no assignment, report or decision may
+    predate its paper's submission, and no assignment or report may postdate
+    the paper's terminal decision.  Positions in the returned diagnostics are
+    1-based indexes into ``events``.
+    """
+    return _walk(events)[0]
 
 
 @dataclass(frozen=True)
@@ -358,42 +410,26 @@ class Corpus:
     """
 
     def __init__(self, events: list[ReviewEvent]):
-        errors = validate_events(events)
+        (errors, self.submissions, self.assignments, self.reports,
+         self.decisions, self.citation_records) = _walk(events)
         if errors:
             raise CorpusError(errors)
         self.events: tuple[ReviewEvent, ...] = tuple(events)
 
-        self.submissions: dict[str, Submission] = {}
-        self.assignments: dict[str, list[Assignment]] = {}
-        self.reports: dict[str, list[Report]] = {}
-        self.decisions: dict[str, Decision] = {}
-        self.citation_records: dict[str, CitationRecord] = {}
         papers_by_author: dict[str, list[str]] = {}
+        for pid, sub in self.submissions.items():
+            for author in sub.author_ids:
+                papers_by_author.setdefault(author, []).append(pid)
         assigned_by_reviewer: dict[str, list[dt.date]] = {}
-        reported_by_reviewer: dict[str, set[str]] = {}
         first_paired: dict[tuple[str, str], dt.date] = {}
-
-        for ev in events:
-            if isinstance(ev, Submission):
-                self.submissions[ev.paper_id] = ev
-                for author in ev.author_ids:
-                    papers_by_author.setdefault(author, []).append(ev.paper_id)
-            elif isinstance(ev, Assignment):
-                self.assignments.setdefault(ev.paper_id, []).append(ev)
-                assigned_by_reviewer.setdefault(ev.reviewer_id, []).append(ev.date)
-                pair = (ev.editor_id, ev.reviewer_id)
-                first = first_paired.get(pair)
-                if first is None or ev.date < first:
-                    first_paired[pair] = ev.date
-            elif isinstance(ev, Report):
-                self.reports.setdefault(ev.paper_id, []).append(ev)
-                reported_by_reviewer.setdefault(ev.reviewer_id, set()).add(ev.paper_id)
-            elif isinstance(ev, Decision):
-                self.decisions[ev.paper_id] = ev
-            elif isinstance(ev, CitationRecord):
-                current = self.citation_records.get(ev.paper_id)
-                if current is None or ev.date >= current.date:
-                    self.citation_records[ev.paper_id] = ev
+        for a in chain.from_iterable(self.assignments.values()):
+            assigned_by_reviewer.setdefault(a.reviewer_id, []).append(a.date)
+            pair = (a.editor_id, a.reviewer_id)
+            if a.date < first_paired.get(pair, dt.date.max):
+                first_paired[pair] = a.date
+        reported_by_reviewer: dict[str, set[str]] = {}
+        for r in chain.from_iterable(self.reports.values()):
+            reported_by_reviewer.setdefault(r.reviewer_id, set()).add(r.paper_id)
 
         # the pairs first assigned before a cutoff are a prefix of this order
         paired = sorted((date, editor, reviewer)
@@ -401,7 +437,6 @@ class Corpus:
         self.pair_dates: tuple[dt.date, ...] = tuple(d for d, _, _ in paired)
         self.pairs: tuple[tuple[str, str], ...] = tuple((e, r) for _, e, r in paired)
 
-        # decisions may come after the events they close, so index last
         self._author_history = {
             author: _History.index([self.submissions[p].date for p in pids],
                                    pids, self.decisions)
@@ -420,8 +455,10 @@ class Corpus:
 
     @classmethod
     def from_file(cls, path) -> "Corpus":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_lines(fh)
+        events, errors = read_log(path)
+        if errors:
+            raise CorpusError(errors)
+        return cls(events)
 
     # -- paper-level lookups ------------------------------------------------
 

@@ -8,6 +8,7 @@ linear solve for PageRank) so that agreement is meaningful.
 from __future__ import annotations
 
 import datetime as dt
+import json
 import math
 import random
 import re
@@ -18,8 +19,10 @@ import numpy as np
 
 from revnet import centrality
 from revnet.centrality import CentralityTable
-from revnet.corpus import (Assignment, AuthorProfile, CitationRecord, Corpus,
-                           Decision, Report, ReviewerProfile, Submission)
+from revnet.corpus import (RECOMMENDATIONS, TERMINAL_OUTCOMES, Assignment,
+                           AuthorProfile, CitationRecord, Corpus, Decision,
+                           LogError, Report, ReviewerProfile, Submission,
+                           _History)
 from revnet.review_graph import ReviewGraph
 from revnet.text_metrics import CATEGORIES, Lexicon
 
@@ -373,6 +376,225 @@ def reference_project(snap: BipartiteSnapshot) -> ReviewGraph:
     return ReviewGraph(snap.cutoff, nodes, adj)
 
 
+# -- reference forms of the log loader --------------------------------------
+
+
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def _reference_parse_date(raw: object) -> dt.date:
+    if not isinstance(raw, str):
+        raise ValueError(f"date must be an ISO string, got {raw!r}")
+    if not _ISO_DATE.fullmatch(raw):
+        raise ValueError(f"Invalid isoformat string: {raw!r}")
+    return dt.date.fromisoformat(raw)
+
+
+def _reference_require(record: dict, key: str) -> object:
+    if key not in record:
+        raise ValueError(f"missing field {key!r}")
+    return record[key]
+
+
+def _reference_require_str(record: dict, key: str) -> str:
+    raw = _reference_require(record, key)
+    if type(raw) is not str:
+        raise ValueError(f"{key} must be a string, got {raw!r}")
+    return raw
+
+
+def _reference_require_int(record: dict, key: str, least, kind: str) -> int:
+    raw = _reference_require(record, key)
+    if type(raw) is float and raw.is_integer():
+        raw = int(raw)
+    if type(raw) is not int or (least is not None and raw < least):
+        raise ValueError(f"{key} must be {kind}, got {raw!r}")
+    return raw
+
+
+def _reference_parse_round(record: dict) -> int:
+    return _reference_require_int(record, "round", 1, "a positive integer")
+
+
+def _reference_parse_record(record: dict):
+    kind = _reference_require(record, "type")
+    paper_id = _reference_require_str(record, "paper_id")
+    date = _reference_parse_date(_reference_require(record, "date"))
+    if kind == "submission":
+        authors = _reference_require(record, "author_ids")
+        if (type(authors) is not list or not authors
+                or not all(type(a) is str for a in authors)):
+            raise ValueError(f"author_ids must be a non-empty list of strings, "
+                             f"got {authors!r}")
+        title = record.get("title", "")
+        if not isinstance(title, str):
+            raise ValueError(f"title must be a string, got {title!r}")
+        return Submission(paper_id, date, tuple(authors), title)
+    if kind == "assignment":
+        rnd = _reference_parse_round(record)
+        return Assignment(paper_id, date, _reference_require_str(record, "editor_id"),
+                          _reference_require_str(record, "reviewer_id"), rnd)
+    if kind == "report":
+        rnd = _reference_parse_round(record)
+        rec = _reference_require_str(record, "recommendation")
+        if rec not in RECOMMENDATIONS:
+            raise ValueError(f"unknown recommendation {rec!r}")
+        return Report(paper_id, date, _reference_require_str(record, "reviewer_id"),
+                      rnd, _reference_require_str(record, "text"), rec)
+    if kind == "decision":
+        outcome = _reference_require_str(record, "outcome")
+        if outcome not in TERMINAL_OUTCOMES:
+            raise ValueError(f"unknown outcome {outcome!r}")
+        rnd = _reference_parse_round(record)
+        return Decision(paper_id, date, outcome, rnd)
+    if kind == "citation":
+        cites = _reference_require_int(record, "cumulative_citations", 0,
+                                       "a non-negative integer")
+        year = _reference_require_int(record, "as_of_year", None, "an integer")
+        return CitationRecord(paper_id, date, cites, year)
+    raise ValueError(f"unknown event type {kind!r}")
+
+
+def reference_parse_events(lines):
+    """The ``json.loads`` and per-field ``_require`` form of
+    ``revnet.corpus.parse_events``, with its date, title and UTF-8 rules
+    written independently: a regular expression for the date, a
+    ``surrogatepass`` round trip for the text."""
+    events = []
+    errors = []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.encode("utf-8", "surrogatepass").decode("utf-8", "replace") != line:
+            errors.append(LogError(lineno, "not valid UTF-8"))
+            continue
+        try:
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError("record must be a JSON object")
+            events.append(_reference_parse_record(record))
+        except (ValueError, TypeError) as exc:
+            errors.append(LogError(lineno, str(exc)))
+    return events, errors
+
+
+def reference_validate_events(events):
+    """``revnet.corpus.validate_events`` as a walk of its own, which keeps
+    no map beyond what the checks need."""
+    errors = []
+    submission = {}
+    decided = {}
+    rounds = {}
+    reviewing = []
+
+    for pos, ev in enumerate(events, start=1):
+        pid = ev.paper_id
+        if isinstance(ev, Submission):
+            if pid in submission:
+                errors.append(LogError(pos, f"duplicate submission for paper {pid}"))
+            else:
+                submission[pid] = ev
+            continue
+        if pid not in submission:
+            errors.append(LogError(
+                pos, f"{type(ev).__name__.lower()} for paper {pid} without prior submission"))
+            continue
+        if isinstance(ev, CitationRecord):
+            if pid not in decided:
+                errors.append(LogError(
+                    pos, f"citation record for paper {pid} before any terminal decision"))
+            continue
+        rounds.setdefault(pid, set()).add(ev.round)
+        if ev.date < submission[pid].date:
+            errors.append(LogError(
+                pos, f"{type(ev).__name__.lower()} for paper {pid} dated {ev.date} "
+                     f"before its submission on {submission[pid].date}"))
+        if isinstance(ev, Decision):
+            if pid in decided:
+                errors.append(LogError(pos, f"duplicate terminal decision for paper {pid}"))
+            else:
+                decided[pid] = ev
+        else:
+            reviewing.append((pos, ev))
+
+    for pos, ev in reviewing:
+        dec = decided.get(ev.paper_id)
+        if dec is not None and ev.date > dec.date:
+            errors.append(LogError(
+                pos, f"{type(ev).__name__.lower()} for paper {ev.paper_id} dated "
+                     f"{ev.date} after its terminal decision on {dec.date}"))
+
+    for pid, seen in sorted(rounds.items()):
+        expected = set(range(1, max(seen) + 1))
+        if seen != expected:
+            errors.append(LogError(
+                0, f"paper {pid}: rounds {sorted(seen)} are not contiguous from 1"))
+    return errors
+
+
+CORPUS_STATE = ("events", "submissions", "assignments", "reports", "decisions",
+                "citation_records", "pairs", "pair_dates", "_author_history",
+                "_reviewer_history")
+
+
+def corpus_state(corpus: Corpus) -> dict:
+    return {name: getattr(corpus, name) for name in CORPUS_STATE}
+
+
+def reference_corpus_state(events) -> dict:
+    """What ``Corpus(events)`` holds, built the two-walk way: validation by
+    :func:`reference_validate_events`, then one more walk over the events
+    that fills every map and index at once."""
+    assert reference_validate_events(events) == []
+    submissions = {}
+    assignments = {}
+    reports = {}
+    decisions = {}
+    citation_records = {}
+    papers_by_author = {}
+    assigned_by_reviewer = {}
+    reported_by_reviewer = {}
+    first_paired = {}
+    for ev in events:
+        if isinstance(ev, Submission):
+            submissions[ev.paper_id] = ev
+            for author in ev.author_ids:
+                papers_by_author.setdefault(author, []).append(ev.paper_id)
+        elif isinstance(ev, Assignment):
+            assignments.setdefault(ev.paper_id, []).append(ev)
+            assigned_by_reviewer.setdefault(ev.reviewer_id, []).append(ev.date)
+            pair = (ev.editor_id, ev.reviewer_id)
+            first = first_paired.get(pair)
+            if first is None or ev.date < first:
+                first_paired[pair] = ev.date
+        elif isinstance(ev, Report):
+            reports.setdefault(ev.paper_id, []).append(ev)
+            reported_by_reviewer.setdefault(ev.reviewer_id, set()).add(ev.paper_id)
+        elif isinstance(ev, Decision):
+            decisions[ev.paper_id] = ev
+        elif isinstance(ev, CitationRecord):
+            current = citation_records.get(ev.paper_id)
+            if current is None or ev.date >= current.date:
+                citation_records[ev.paper_id] = ev
+    paired = sorted((date, editor, reviewer)
+                    for (editor, reviewer), date in first_paired.items())
+    author_history = {
+        author: _History.index([submissions[p].date for p in pids], pids, decisions)
+        for author, pids in papers_by_author.items()}
+    reviewer_history = {
+        rid: _History.index(assigned_by_reviewer.get(rid, []),
+                            reported_by_reviewer.get(rid, ()), decisions)
+        for rid in assigned_by_reviewer.keys() | reported_by_reviewer.keys()}
+    return {"events": tuple(events), "submissions": submissions,
+            "assignments": assignments, "reports": reports,
+            "decisions": decisions, "citation_records": citation_records,
+            "pairs": tuple((e, r) for _, e, r in paired),
+            "pair_dates": tuple(d for d, _, _ in paired),
+            "_author_history": author_history,
+            "_reviewer_history": reviewer_history}
+
+
 # -- reference forms of the as-of profiles ----------------------------------
 
 
@@ -548,6 +770,9 @@ WRONGLY_TYPED = [
     (0, "author_ids", ["a1", None], "author_ids must be a non-empty list of strings"),
     (0, "author_ids", [1], "author_ids must be a non-empty list of strings"),
     (0, "author_ids", "a1", "author_ids must be a non-empty list of strings"),
+    (0, "title", None, "title must be a string"),
+    (0, "title", 3, "title must be a string"),
+    (0, "title", ["T"], "title must be a string"),
 ]
 
 

@@ -9,7 +9,8 @@ from revnet.centrality import clustering, compute_table, degree, pagerank
 from helpers import (graph_from_edges, oracle_betweenness, oracle_closeness,
                      oracle_clustering, oracle_pagerank, random_graph,
                      reference_brandes_pass, reference_closeness_from_sums,
-                     reference_clustering, reference_table)
+                     reference_clustering, reference_masked_brandes_pass,
+                     reference_table)
 
 
 def path_graph(n):
@@ -173,14 +174,46 @@ def assert_matches_reference(graph):
     assert table.pagerank.tobytes() == pr.tobytes() and table.pagerank_converged == ok
 
 
+def two_components_and_isolates():
+    return graph_from_edges(9, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3), (5, 6)])
+
+
 def test_matrix_pass_matches_reference_on_named_graphs():
-    two_components_and_isolates = graph_from_edges(
-        9, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3), (5, 6)])
     for graph in (graph_from_edges(0, []), graph_from_edges(1, []),
                   graph_from_edges(2, []), graph_from_edges(2, [(0, 1)]),
                   path_graph(9), cycle_graph(8), star_graph(7), complete_graph(6),
-                  two_components_and_isolates):
+                  two_components_and_isolates()):
         assert_matches_reference(graph)
+
+
+class CountingMatrix(np.ndarray):
+    """An adjacency matrix that counts the products taken with it (or with
+    a slice of it) and computes them on plain arrays."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        CountingMatrix.products += 1
+        return np.asarray(self) @ np.asarray(other)
+
+    def __rmatmul__(self, other):
+        CountingMatrix.products += 1
+        return np.asarray(other) @ np.asarray(self)
+
+
+@pytest.mark.parametrize("graph, products", [
+    (complete_graph(6), 0),  # level 1 holds every node: no product at all
+    (star_graph(7), 2),  # the leaves reach the others at level 2
+    (path_graph(9), 14),  # 7 forward products to reach depth 8, 7 backward
+    (two_components_and_isolates(), 3),  # no early stop: 2 forward, 1 backward
+], ids=["complete", "star", "path", "two-components"])
+def test_forward_sweep_stops_once_every_node_is_reached(graph, products):
+    A = centrality._adjacency(graph)
+    CountingMatrix.products = 0
+    got = centrality._brandes_pass(A.view(CountingMatrix))
+    assert CountingMatrix.products == products
+    for mine, ref in zip(got, reference_masked_brandes_pass(graph)):
+        assert np.asarray(mine).tobytes() == np.asarray(ref).tobytes()
 
 
 def test_matrix_pass_matches_reference_on_random_graphs():

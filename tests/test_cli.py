@@ -104,6 +104,19 @@ def test_wrongly_typed_field_fails_validation_naming_the_line(
     assert f"line {index + 1}: {fragment}" in err
 
 
+@pytest.mark.parametrize("date", ["20100105", "2010-W01-1"])
+def test_date_other_than_year_month_day_fails_validation_naming_the_line(
+        tmp_path, capsys, date):
+    records = [dict(r) for r in SAMPLE]
+    records[2]["date"] = date
+    log = tmp_path / "dated.jsonl"
+    log.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code, out, err = run(capsys, "validate", str(log))
+    assert code == EXIT_VALIDATION
+    assert f"line 3: Invalid isoformat string: {date!r}" in err
+    assert "Traceback" not in err
+
+
 def run_cli_process(hash_seed, *argv):
     """``revnet`` in a fresh interpreter whose string hashing is seeded
     with ``hash_seed``, so set and dict iteration order differ by seed."""
@@ -387,3 +400,21 @@ def test_features_read_report_text_with_a_lone_surrogate(tmp_path, capsys):
     expected = reference_supporting_features("p1", Corpus(events), load_lexicon())[3]
     row = next(line for line in lines if line.startswith("p1,"))
     assert row.split(",")[column] == repr(float(expected)) == "0.5"
+
+
+@pytest.mark.parametrize("command", [["validate"],
+                                     ["features", "{out}", "--year-from", "2010",
+                                      "--year-to", "2011"],
+                                     ["analyze", "{out}"]],
+                         ids=["validate", "features", "analyze"])
+def test_undecodable_byte_fails_validation_naming_the_line(tmp_path, capsys, command):
+    log = tmp_path / "events.jsonl"
+    small_log(log)
+    lines = log.read_bytes().splitlines(keepends=True)
+    assert b'"outcome": "accept"' in lines[3]
+    lines[3] = lines[3].replace(b'"accept"', b'"acc\xffept"')
+    log.write_bytes(b"".join(lines))
+    argv = [arg.format(out=tmp_path / "out") for arg in command]
+    code, _, err = run(capsys, argv[0], str(log), *argv[1:])
+    assert code == EXIT_VALIDATION, err
+    assert "line 4: not valid UTF-8" in err and "Traceback" not in err

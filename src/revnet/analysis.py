@@ -101,16 +101,41 @@ def quartile_contrast(metric_by_reviewer: dict[str, float],
     return empirical_cdf(pool(top)), empirical_cdf(pool(bottom))
 
 
-# -- summaries and irregular cases ------------------------------------------
+# -- per-paper records, summaries and irregular cases -------------------------
 
 
-def _review_rounds(corpus: Corpus, paper_id: str) -> int:
-    return max((r.round for r in corpus.reports.get(paper_id, [])), default=0)
+@dataclass(frozen=True)
+class PaperRecord:
+    """One accepted or rejected paper, as every analysis reads it."""
+
+    paper_id: str
+    outcome: str  # "accept" or "reject"
+    decision_year: int
+    citations: Optional[int]  # None without a citation record
+    rounds: int  # RR, 0 when the paper has no report
+    team_size: int
+    features: np.ndarray  # supporting_features: RR TS RL SNT AR AP RAC TA DR
 
 
-def summary_table(corpus: Corpus) -> dict[str, float]:
-    accepted = [p for p in corpus.submissions if corpus.outcome(p) == "accept"]
-    rejected = [p for p in corpus.submissions if corpus.outcome(p) == "reject"]
+def paper_records(corpus: Corpus, lexicon: Lexicon) -> list[PaperRecord]:
+    """One record per accepted or rejected paper, in ``paper_ids`` order."""
+    records = []
+    for pid in corpus.paper_ids():
+        dec = corpus.decisions.get(pid)
+        if dec is None or dec.outcome not in ("accept", "reject"):
+            continue
+        feats = supporting_features(pid, corpus, lexicon)
+        records.append(PaperRecord(
+            pid, dec.outcome, dec.date.year, corpus.citations(pid),
+            0 if np.isnan(feats[0]) else int(feats[0]), int(feats[1]), feats))
+    return records
+
+
+def summary_table(corpus: Corpus, records: Sequence[PaperRecord]) -> dict[str, float]:
+    """Dataset summary.  Review means count every decided paper; citation
+    means count only the decided papers with a citation record."""
+    accepted = [r for r in records if r.outcome == "accept"]
+    rejected = [r for r in records if r.outcome == "reject"]
 
     def mean(vals):
         return float(np.mean(vals)) if vals else 0.0
@@ -122,10 +147,12 @@ def summary_table(corpus: Corpus) -> dict[str, float]:
         "papers": len(corpus.submissions),
         "papers_accepted": len(accepted),
         "papers_rejected": len(rejected),
-        "mean_reviews_accepted": mean([_review_rounds(corpus, p) for p in accepted]),
-        "mean_reviews_rejected": mean([_review_rounds(corpus, p) for p in rejected]),
-        "mean_citations_accepted": mean([corpus.citations(p) or 0 for p in accepted]),
-        "mean_citations_rejected": mean([corpus.citations(p) or 0 for p in rejected]),
+        "mean_reviews_accepted": mean([r.rounds for r in accepted]),
+        "mean_reviews_rejected": mean([r.rounds for r in rejected]),
+        "mean_citations_accepted": mean([r.citations for r in accepted
+                                         if r.citations is not None]),
+        "mean_citations_rejected": mean([r.citations for r in rejected
+                                         if r.citations is not None]),
         "unique_authors": len(authors),
         "mean_submissions_per_author": subs_per_author,
         "mean_authors_per_paper": mean([len(s.author_ids)
@@ -144,49 +171,29 @@ class IrregularCase:
     first_round_report_length: Optional[float]
 
 
-def irregular_cases(corpus: Corpus, exposure_cutoff_year: int):
+def irregular_cases(records: Sequence[PaperRecord], exposure_cutoff_year: int):
     """Highly cited rejected (>= 20) and low cited accepted (< 10) papers.
 
     Only papers decided strictly before the exposure cutoff year count, so
     every flagged paper had time to accrue citations.  Each case carries the
-    as-of-submission author/reviewer history and the first-round report
-    length used by the CDF contrasts.
+    paper's AR, RAC and RL features: its authors' and reviewers' history as
+    of submission and its first-round report length.
     """
     high_rejected: list[IrregularCase] = []
     low_accepted: list[IrregularCase] = []
-    for pid in corpus.paper_ids():
-        outcome = corpus.outcome(pid)
-        cites = corpus.citations(pid)
-        year = corpus.publication_year(pid)
-        if outcome not in ("accept", "reject") or cites is None or year is None:
+    for rec in records:
+        cites = rec.citations
+        if cites is None or rec.decision_year >= exposure_cutoff_year:
             continue
-        if year >= exposure_cutoff_year:
+        if rec.outcome == "reject" and cites >= HIGH_CITED_REJECTED_MIN:
+            cases = high_rejected
+        elif rec.outcome == "accept" and cites < LOW_CITED_ACCEPTED_MAX:
+            cases = low_accepted
+        else:
             continue
-        flagged = ((outcome == "reject" and cites >= HIGH_CITED_REJECTED_MIN)
-                   or (outcome == "accept" and cites < LOW_CITED_ACCEPTED_MAX))
-        if not flagged:
-            continue
-        as_of = corpus.submission_date(pid)
-        sub = corpus.submissions[pid]
-        author_ratios = [r for r in
-                         (corpus.author_profile(a, as_of).acceptance_ratio
-                          for a in sub.author_ids) if r is not None]
-        reviewer_ratios = [r for r in
-                           (corpus.reviewer_profile(rid, as_of).accept_ratio
-                            for rid in corpus.assigned_reviewers(pid)) if r is not None]
-        first_round = [r for r in corpus.reports.get(pid, []) if r.round == 1]
-        case = IrregularCase(
-            paper_id=pid,
-            outcome=outcome,
-            citations=cites,
-            decision_year=year,
-            author_acceptance_ratio=float(np.mean(author_ratios)) if author_ratios else None,
-            reviewer_accept_ratio=float(np.mean(reviewer_ratios)) if reviewer_ratios else None,
-            first_round_report_length=(float(np.mean([len(r.text.split())
-                                                      for r in first_round]))
-                                       if first_round else None),
-        )
-        (high_rejected if outcome == "reject" else low_accepted).append(case)
+        rl, ar, rac = (None if np.isnan(v) else float(v) for v in rec.features[[2, 4, 6]])
+        cases.append(IrregularCase(rec.paper_id, rec.outcome, cites, rec.decision_year,
+                                   ar, rac, rl))
     return high_rejected, low_accepted
 
 
@@ -245,19 +252,19 @@ def run_all(corpus: Corpus, lexicon: Lexicon, out_dir,
         _write_csv(path, header, rows)
         manifest[name] = {"file": f"{name}.csv", "columns": header}
 
-    accepted = [p for p in corpus.paper_ids() if corpus.outcome(p) == "accept"
-                and corpus.citations(p) is not None]
-    rejected = [p for p in corpus.paper_ids() if corpus.outcome(p) == "reject"
-                and corpus.citations(p) is not None]
+    records = paper_records(corpus, lexicon)
+    cited = [r for r in records if r.citations is not None]
+    accepted = [r for r in cited if r.outcome == "accept"]
+    rejected = [r for r in cited if r.outcome == "reject"]
 
     # dataset summary
     emit("summary", ["metric", "value"],
-         [[k, v] for k, v in summary_table(corpus).items()])
+         [[k, v] for k, v in summary_table(corpus, records).items()])
 
     # fraction of accepted / rejected papers per power-of-two citation bucket
     rows = []
-    acc_buckets = [bucket_powers_of_two(corpus.citations(p)) for p in accepted]
-    rej_buckets = [bucket_powers_of_two(corpus.citations(p)) for p in rejected]
+    acc_buckets = [bucket_powers_of_two(r.citations) for r in accepted]
+    rej_buckets = [bucket_powers_of_two(r.citations) for r in rejected]
     for b in sorted(set(acc_buckets) | set(rej_buckets)):
         rows.append([b,
                      acc_buckets.count(b) / len(acc_buckets) if acc_buckets else 0.0,
@@ -268,15 +275,15 @@ def run_all(corpus: Corpus, lexicon: Lexicon, out_dir,
     rows = []
     for label, group, buckets in (("accepted", accepted, acc_buckets),
                                   ("rejected", rejected, rej_buckets)):
-        stats = bucket_mean([_review_rounds(corpus, p) for p in group], buckets)
+        stats = bucket_mean([r.rounds for r in group], buckets)
         rows.extend([[label, s.bucket, s.count, s.mean] for s in stats])
     emit("reviews_by_citation_bucket", ["group", "bucket", "count", "mean_reviews"], rows)
 
     # average citation of the top-20-percentile papers per round count
     rows = []
     by_rounds: dict[int, list[int]] = {}
-    for p in accepted:
-        by_rounds.setdefault(_review_rounds(corpus, p), []).append(corpus.citations(p))
+    for r in accepted:
+        by_rounds.setdefault(r.rounds, []).append(r.citations)
     for rr, cites in sorted(by_rounds.items()):
         cites.sort(reverse=True)
         k = max(1, round(len(cites) * 0.2))
@@ -285,20 +292,18 @@ def run_all(corpus: Corpus, lexicon: Lexicon, out_dir,
          ["rounds", "papers", "top20_count", "mean_citations"], rows)
 
     # mean citation per team size
-    stats = bucket_mean([corpus.citations(p) for p in accepted],
-                        [len(corpus.submissions[p].author_ids) for p in accepted])
+    stats = bucket_mean([r.citations for r in accepted],
+                        [r.team_size for r in accepted])
     emit("team_size_citation", ["team_size", "count", "mean_citations"],
          [[s.bucket, s.count, s.mean] for s in stats])
 
-    # per-paper supporting features drive the remaining bucketed analyses
-    feats = {p: supporting_features(p, corpus, lexicon) for p in accepted + rejected}
-
+    # the supporting features drive the remaining bucketed analyses
     def bucketed(feature_idx, width, name, label):
         vals, keys = [], []
-        for p in accepted:
-            v = feats[p][feature_idx]
+        for r in accepted:
+            v = r.features[feature_idx]
             if not np.isnan(v):
-                vals.append(corpus.citations(p))
+                vals.append(r.citations)
                 keys.append(bucket_fixed_width(v, width))
         stats = bucket_mean(vals, keys)
         emit(name, [label, "count", "mean_citations"],
@@ -313,14 +318,13 @@ def run_all(corpus: Corpus, lexicon: Lexicon, out_dir,
     for idx, name in ((4, "author_acceptance_ratio_buckets"),
                       (6, "reviewer_accept_ratio_buckets")):
         panels: dict[int, list[tuple[int, int, float]]] = {}
-        for p in accepted:
-            ratio = feats[p][idx]
-            snt = feats[p][3]
+        for r in accepted:
+            ratio = r.features[idx]
+            snt = r.features[3]
             if np.isnan(ratio):
                 continue
             panels.setdefault(bucket_ratio_decile(ratio), []).append(
-                (corpus.citations(p), _review_rounds(corpus, p),
-                 0.0 if np.isnan(snt) else float(snt)))
+                (r.citations, r.rounds, 0.0 if np.isnan(snt) else float(snt)))
         rows = [[b / 10.0, len(g),
                  float(np.mean([t[0] for t in g])),
                  float(np.mean([t[1] for t in g])),
@@ -330,21 +334,19 @@ def run_all(corpus: Corpus, lexicon: Lexicon, out_dir,
                     "mean_reviews", "mean_sentiment"], rows)
 
     # sentiment vs citations, one point per paper, grouped by decision year
-    rows = []
-    for p in accepted + rejected:
-        snt = feats[p][3]
-        rows.append([corpus.publication_year(p), p, corpus.outcome(p),
-                     "" if np.isnan(snt) else float(snt), corpus.citations(p)])
-    rows.sort(key=lambda r: (r[0], r[1]))
+    rows = [[r.decision_year, r.paper_id, r.outcome,
+             "" if np.isnan(r.features[3]) else float(r.features[3]), r.citations]
+            for r in cited]
+    rows.sort(key=lambda row: row[:2])
     emit("sentiment_by_year", ["year", "paper_id", "outcome", "sentiment", "citations"],
          rows)
 
     # centrality quartile contrasts on the full-history graph
     graph = build_graph(corpus)
     cites_by_reviewer: dict[str, list[int]] = {}
-    for p in accepted:
-        for rid in corpus.assigned_reviewers(p):
-            cites_by_reviewer.setdefault(rid, []).append(corpus.citations(p))
+    for r in accepted:
+        for rid in corpus.assigned_reviewers(r.paper_id):
+            cites_by_reviewer.setdefault(rid, []).append(r.citations)
     rows = []
     if graph.n >= 4:
         table = centrality.compute_table(graph)
@@ -362,7 +364,7 @@ def run_all(corpus: Corpus, lexicon: Lexicon, out_dir,
          [[c, hi, lo] for c, (hi, lo) in contrast.items()])
 
     # irregular cases
-    high_rej, low_acc = irregular_cases(corpus, exposure_cutoff_year)
+    high_rej, low_acc = irregular_cases(records, exposure_cutoff_year)
     case_header = ["paper_id", "outcome", "citations", "decision_year",
                    "author_acceptance_ratio", "reviewer_accept_ratio",
                    "first_round_report_length"]

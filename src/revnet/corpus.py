@@ -331,7 +331,6 @@ class AuthorProfile:
     author_id: str
     accept_count: int
     reject_count: int
-    submission_dates: tuple[dt.date, ...]
     mean_inter_submission_gap: Optional[float]  # days, needs >= 2 submissions
 
     @property
@@ -494,12 +493,11 @@ class Corpus:
     def author_profile(self, author_id: str, as_of: dt.date) -> AuthorProfile:
         hist = self._author_history.get(author_id, _NO_HISTORY)
         accept, reject = hist.decided_before(as_of)
-        sub_dates = hist.dates[:bisect_left(hist.dates, as_of)]
+        k = bisect_left(hist.dates, as_of)
         gap: Optional[float] = None
-        if len(sub_dates) >= 2:
-            total = (sub_dates[-1] - sub_dates[0]).days
-            gap = total / (len(sub_dates) - 1)
-        return AuthorProfile(author_id, accept, reject, sub_dates, gap)
+        if k >= 2:
+            gap = (hist.dates[k - 1] - hist.dates[0]).days / (k - 1)
+        return AuthorProfile(author_id, accept, reject, gap)
 
     def reviewer_profile(self, reviewer_id: str, as_of: dt.date) -> ReviewerProfile:
         hist = self._reviewer_history.get(reviewer_id, _NO_HISTORY)

@@ -49,13 +49,6 @@ _NORMAL = NormalDist()
 
 
 @dataclass(frozen=True)
-class FeatureVector:
-    paper_id: str
-    values: np.ndarray  # length 14, NaN where missing
-    missing: np.ndarray  # bool, parallel to FEATURE_NAMES
-
-
-@dataclass(frozen=True)
 class TargetValue:
     paper_id: str
     publication_year: int
@@ -192,12 +185,12 @@ def supporting_features(paper_id: str, corpus: Corpus, lexicon: Lexicon) -> np.n
 
 
 def feature_vector(paper_id: str, corpus: Corpus, lexicon: Lexicon,
-                   cache: Optional[SnapshotCache] = None) -> FeatureVector:
-    values = np.concatenate([
+                   cache: Optional[SnapshotCache] = None) -> np.ndarray:
+    """The 14 features in ``FEATURE_NAMES`` order, NaN where missing."""
+    return np.concatenate([
         network_features(paper_id, corpus, cache),
         supporting_features(paper_id, corpus, lexicon),
     ])
-    return FeatureVector(paper_id, values, np.isnan(values))
 
 
 def citation_rank_targets(papers: list[tuple[str, int, int]]) -> list[TargetValue]:
@@ -267,7 +260,7 @@ def assemble_matrix(corpus: Corpus, window: tuple[int, int], lexicon: Lexicon,
     n = len(selected)
     X = np.full((n, len(FEATURE_NAMES)), np.nan)
     for i, (pid, _, _) in enumerate(selected):
-        X[i] = feature_vector(pid, corpus, lexicon, cache).values
+        X[i] = feature_vector(pid, corpus, lexicon, cache)
 
     targets = {t.paper_id: t.citation_rank
                for t in citation_rank_targets(selected)}

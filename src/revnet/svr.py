@@ -256,32 +256,6 @@ def fit(X: np.ndarray, y: np.ndarray, config: SvrConfig,
     return model
 
 
-def kkt_max_violation(model: SvrModel, X: np.ndarray, y: np.ndarray) -> float:
-    """Largest KKT violation of the fitted dual over the training set.
-
-    Conditions per point, with r = y - f(x):
-      beta = 0        |r| <= eps
-      beta = +C       r >= eps
-      beta = -C       r <= -eps
-      0 < |beta| < C  |r| = eps (matching sign)
-    Returns the max slack needed to make every condition hold.
-    """
-    if model.diagnostics is None:
-        raise ValueError("model carries no training diagnostics")
-    beta = model.diagnostics.train_beta
-    C, eps = model.config.C, model.config.epsilon
-    r = np.asarray(y, dtype=np.float64) - model.predict(X)
-
-    bound = 1e-9 * C
-    if np.any((beta > C + bound) | (beta < -C - bound)):
-        return math.inf  # dual infeasible
-    v = np.select(
-        [np.abs(beta) <= bound, beta >= C - bound, beta <= -C + bound, beta > 0],
-        [np.abs(r) - eps, eps - r, eps + r, np.abs(r - eps)],
-        default=np.abs(r + eps))
-    return float(np.max(v, initial=0.0, where=~np.isnan(v)))
-
-
 def f_statistic(column: np.ndarray, targets: np.ndarray) -> float:
     """Univariate linear-regression F = SSR (n-2) / SSE.
 

@@ -8,16 +8,20 @@ linear solve for PageRank) so that agreement is meaningful.
 from __future__ import annotations
 
 import datetime as dt
+import importlib.util
 import json
 import math
 import random
 import re
 from collections import deque
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from revnet import centrality
+from revnet.analysis import (HIGH_CITED_REJECTED_MIN, LOW_CITED_ACCEPTED_MAX,
+                             IrregularCase)
 from revnet.centrality import CentralityTable
 from revnet.corpus import (RECOMMENDATIONS, TERMINAL_OUTCOMES, Assignment,
                            AuthorProfile, CitationRecord, Corpus, Decision,
@@ -622,7 +626,7 @@ def reference_author_profile(corpus: Corpus, author_id: str,
     if len(sub_dates) >= 2:
         total = (sub_dates[-1] - sub_dates[0]).days
         gap = total / (len(sub_dates) - 1)
-    return AuthorProfile(author_id, accept, reject, tuple(sub_dates), gap)
+    return AuthorProfile(author_id, accept, reject, gap)
 
 
 def reference_reviewer_profile(corpus: Corpus, reviewer_id: str,
@@ -734,7 +738,60 @@ def reference_supporting_features(paper_id: str, corpus: Corpus,
     return np.array([rr, ts, rl, snt, ar, ap, rac, ta, dr])
 
 
+def reference_irregular_cases(corpus: Corpus, exposure_cutoff_year: int):
+    """Rescan form of ``analysis.irregular_cases``: each flagged paper's
+    authors and reviewers profiled again and their ratios and first-round
+    report lengths averaged with ``np.mean``."""
+    high_rejected: list[IrregularCase] = []
+    low_accepted: list[IrregularCase] = []
+    for pid in corpus.paper_ids():
+        outcome = corpus.outcome(pid)
+        cites = corpus.citations(pid)
+        year = corpus.publication_year(pid)
+        if outcome not in ("accept", "reject") or cites is None or year is None:
+            continue
+        if year >= exposure_cutoff_year:
+            continue
+        flagged = ((outcome == "reject" and cites >= HIGH_CITED_REJECTED_MIN)
+                   or (outcome == "accept" and cites < LOW_CITED_ACCEPTED_MAX))
+        if not flagged:
+            continue
+        as_of = corpus.submission_date(pid)
+        sub = corpus.submissions[pid]
+        author_ratios = [r for r in
+                         (corpus.author_profile(a, as_of).acceptance_ratio
+                          for a in sub.author_ids) if r is not None]
+        reviewer_ratios = [r for r in
+                           (corpus.reviewer_profile(rid, as_of).accept_ratio
+                            for rid in corpus.assigned_reviewers(pid)) if r is not None]
+        first_round = [r for r in corpus.reports.get(pid, []) if r.round == 1]
+        case = IrregularCase(
+            paper_id=pid,
+            outcome=outcome,
+            citations=cites,
+            decision_year=year,
+            author_acceptance_ratio=float(np.mean(author_ratios)) if author_ratios else None,
+            reviewer_accept_ratio=float(np.mean(reviewer_ratios)) if reviewer_ratios else None,
+            first_round_report_length=(float(np.mean([len(r.text.split())
+                                                      for r in first_round]))
+                                       if first_round else None),
+        )
+        (high_rejected if outcome == "reject" else low_accepted).append(case)
+    return high_rejected, low_accepted
+
+
 # -- corpus builders ---------------------------------------------------------
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+def benchmark_configs() -> dict[str, dict]:
+    """``SynthConfig`` keywords (all but the seed) of each benchmark workload."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {name: workload["config"] for name, workload in module.WORKLOADS.items()}
 
 
 # one well-formed record of each type, in a valid order
@@ -944,7 +1001,16 @@ def reference_solve_smo(K: np.ndarray, y: np.ndarray, config):
 
 
 def reference_kkt_max_violation(model, X: np.ndarray, y: np.ndarray) -> float:
-    """Per-row loop form of ``revnet.svr.kkt_max_violation``."""
+    """Largest KKT violation of the fitted dual over the training set.
+
+    Conditions per point, with r = y - f(x):
+      beta = 0        |r| <= eps
+      beta = +C       r >= eps
+      beta = -C       r <= -eps
+      0 < |beta| < C  |r| = eps (matching sign)
+    Returns the max slack needed to make every condition hold, or inf when
+    a beta lies outside [-C, C].
+    """
     beta = model.diagnostics.train_beta
     C, eps = model.config.C, model.config.epsilon
     r = np.asarray(y, dtype=np.float64) - model.predict(X)

@@ -15,7 +15,7 @@ import pytest
 from revnet import svr
 from revnet.analysis import (bucket_fixed_width, bucket_powers_of_two,
                              bucket_ratio_decile, irregular_cases,
-                             lqi_contrast)
+                             lqi_contrast, paper_records)
 from revnet.centrality import compute_table, pagerank
 from revnet.corpus import (Assignment, CitationRecord, Corpus, Decision,
                            Report, Submission)
@@ -29,7 +29,7 @@ from revnet.text_metrics import load_lexicon
 from helpers import (brute_projection_edges, graph_edges, graph_from_edges,
                      oracle_betweenness, oracle_closeness, oracle_clustering,
                      random_assignment_events, random_graph,
-                     reference_snapshot)
+                     reference_kkt_max_violation, reference_snapshot)
 
 LEXICON = load_lexicon()
 
@@ -105,7 +105,7 @@ def test_criterion_03_projection_matches_brute_force():
 
 
 def test_criterion_04_no_leakage_replay():
-    """Appending 1,000 future events leaves every FeatureVector bit-identical."""
+    """Appending 1,000 future events leaves every feature vector bit-identical."""
     config = SynthConfig(seed=1004, papers_per_year=125, n_years=4)
     events = generate(config)
     corpus = Corpus(events)
@@ -140,8 +140,7 @@ def test_criterion_04_no_leakage_replay():
     cache2 = SnapshotCache(extended)
     for pid in papers:
         after = feature_vector(pid, extended, LEXICON, cache2)
-        assert after.values.tobytes() == before[pid].values.tobytes(), pid
-        assert np.array_equal(after.missing, before[pid].missing)
+        assert after.tobytes() == before[pid].tobytes(), pid
     report(4, "500 feature vectors bit-identical after 1,000 future events")
 
 
@@ -156,7 +155,7 @@ def test_criterion_05_svr_solver_guarantees():
         model = svr.fit(X, y, config)
         beta = model.diagnostics.train_beta
         assert np.all(np.abs(beta) <= config.C + 1e-9)
-        assert svr.kkt_max_violation(model, X, y) <= config.tol
+        assert reference_kkt_max_violation(model, X, y) <= config.tol
 
     X = rng.normal(size=(25, 3))
     constant = svr.fit(X, np.full(25, -1.5), config)
@@ -287,7 +286,7 @@ def test_criterion_09_irregular_case_detection():
                     and p in cites and cites[p] < 10}
     assert expected_high and expected_low  # the check must bite
 
-    high, low = irregular_cases(corpus, cutoff)
+    high, low = irregular_cases(paper_records(corpus, LEXICON), cutoff)
     assert {c.paper_id for c in high} == expected_high
     assert {c.paper_id for c in low} == expected_low
     assert all(c.citations >= 20 and c.outcome == "reject" for c in high)

@@ -194,7 +194,8 @@ def test_author_profile_counts_and_ratio():
     prof = corpus.author_profile("a1", D(2012, 1, 1))
     assert (prof.accept_count, prof.reject_count) == (1, 1)
     assert prof.acceptance_ratio == 0.5  # withdraw excluded entirely
-    assert len(prof.submission_dates) == 3
+    # all three submissions count: 2010-01-01 .. 2010-11-01 over two gaps
+    assert prof.mean_inter_submission_gap == (D(2010, 11, 1) - D(2010, 1, 1)).days / 2
 
 
 def test_author_profile_is_strictly_before_as_of():
@@ -203,9 +204,10 @@ def test_author_profile_is_strictly_before_as_of():
     prof = corpus.author_profile("a1", D(2010, 2, 15))
     assert (prof.accept_count, prof.reject_count) == (0, 0)
     assert prof.acceptance_ratio is None
-    # submissions on the as-of date are excluded too
-    prof = corpus.author_profile("a1", D(2010, 1, 1))
-    assert prof.submission_dates == ()
+    # submissions on the as-of date are excluded too: p2's would make a gap
+    prof = corpus.author_profile("a1", D(2010, 7, 1))
+    assert prof.mean_inter_submission_gap is None
+    assert corpus.author_profile("a1", D(2010, 7, 2)).mean_inter_submission_gap == 181.0
 
 
 def test_author_profile_mean_gap():
@@ -280,8 +282,12 @@ def test_author_profile_edge_cases(author, as_of, counts, dates, gap):
     corpus = edge_case_corpus()
     prof = corpus.author_profile(author, as_of)
     assert (prof.accept_count, prof.reject_count) == counts
-    assert prof.submission_dates == dates
     assert prof.mean_inter_submission_gap == gap
+    # the gap spans the submissions strictly before as_of
+    if len(dates) >= 2:
+        assert gap == (dates[-1] - dates[0]).days / (len(dates) - 1)
+    else:
+        assert gap is None
     assert prof == reference_author_profile(corpus, author, as_of)
 
 

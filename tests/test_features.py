@@ -278,8 +278,13 @@ def test_nine_author_paper_gives_the_reference_bytes(lexicon):
 def test_feature_vector_shape_and_mask(lexicon):
     corpus = supporting_corpus()
     fv = feature_vector("pX", corpus, lexicon)
-    assert fv.values.shape == (14,)
-    assert np.array_equal(fv.missing, np.isnan(fv.values))
+    assert fv.shape == (14,)
+    assert fv[5:].tobytes() == supporting_features("pX", corpus, lexicon).tobytes()
+    assert not np.isnan(fv).any()
+    # the first paper has an empty snapshot and no author or reviewer history
+    first = feature_vector("h1", corpus, lexicon)
+    assert [FEATURE_NAMES[i] for i in np.flatnonzero(np.isnan(first))] == \
+        ["Deg", "BC", "CC", "Clus", "PR", "AR", "AP", "RAC", "TA"]
 
 
 # -- matrix assembly and CSV round trip --------------------------------------

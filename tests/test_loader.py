@@ -7,11 +7,9 @@ in ``helpers``, and ``Corpus`` must hold what the two-walk reference builds.
 
 import dataclasses
 import datetime as dt
-import importlib.util
 import itertools
 import json
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,11 +20,9 @@ from revnet.corpus import (Assignment, CitationRecord, Corpus, CorpusError,
                            read_log, validate_events, write_events)
 from revnet.synth import SynthConfig, generate
 
-from helpers import (SAMPLE, corpus_state, minimal_paper,
+from helpers import (SAMPLE, benchmark_configs, corpus_state, minimal_paper,
                      reference_corpus_state, reference_parse_events,
                      reference_validate_events)
-
-WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 
 def typed(events):
@@ -215,13 +211,6 @@ def test_validate_events_matches_the_reference_on_every_fault_at_once():
 
 
 # -- the whole corpus --------------------------------------------------------
-
-
-def benchmark_configs():
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return {name: workload["config"] for name, workload in module.WORKLOADS.items()}
 
 
 @pytest.mark.parametrize("workload, config", sorted(benchmark_configs().items()))

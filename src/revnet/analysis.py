@@ -197,26 +197,23 @@ def irregular_cases(records: Sequence[PaperRecord], exposure_cutoff_year: int):
     return high_rejected, low_accepted
 
 
-def lqi_contrast(corpus: Corpus, lexicon: Lexicon,
+def lqi_contrast(records: Sequence[PaperRecord], corpus: Corpus, lexicon: Lexicon,
                  exposure_cutoff_year: int) -> dict[str, tuple[float, float]]:
-    """Mean category percentages for top vs bottom 10% cited accepted papers."""
-    pool = []
-    for pid in corpus.paper_ids():
-        cites = corpus.citations(pid)
-        year = corpus.publication_year(pid)
-        if (corpus.outcome(pid) == "accept" and cites is not None
-                and year is not None and year < exposure_cutoff_year):
-            pool.append((pid, cites))
+    """Mean category percentages for top vs bottom 10% cited accepted papers
+    decided before ``exposure_cutoff_year``; report text from ``corpus``."""
+    pool = sorted((r for r in records if r.outcome == "accept"
+                   and r.citations is not None
+                   and r.decision_year < exposure_cutoff_year),
+                  key=lambda r: (r.citations, r.paper_id))
     if len(pool) < 10:
         return {}
-    pool.sort(key=lambda t: (t[1], t[0]))
     k = max(1, len(pool) // 10)
     low, high = pool[:k], pool[-k:]
 
     def group_means(group):
         rows = []
-        for pid, _ in group:
-            for rep in corpus.reports.get(pid, []):
+        for r in group:
+            for rep in corpus.reports.get(r.paper_id, []):
                 rows.append(category_percentages(rep.text, lexicon))
         if not rows:
             return {c: 0.0 for c in CATEGORIES}
@@ -359,7 +356,7 @@ def run_all(corpus: Corpus, lexicon: Lexicon, out_dir,
     emit("centrality_quartile_contrast", ["measure", "group", "citations", "cdf"], rows)
 
     # linguistic category contrast, high vs low cited
-    contrast = lqi_contrast(corpus, lexicon, exposure_cutoff_year)
+    contrast = lqi_contrast(records, corpus, lexicon, exposure_cutoff_year)
     emit("lqi_contrast", ["category", "high_cited_mean_pct", "low_cited_mean_pct"],
          [[c, hi, lo] for c, (hi, lo) in contrast.items()])
 

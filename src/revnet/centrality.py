@@ -14,8 +14,6 @@ where depth is the number of BFS levels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Optional
 
 import numpy as np
 
@@ -43,18 +41,7 @@ class CentralityTable:
 
 
 def degree(graph: ReviewGraph) -> np.ndarray:
-    return np.array([len(a) for a in graph.adj], dtype=np.int64)
-
-
-def _adjacency(graph: ReviewGraph) -> np.ndarray:
-    """Dense symmetric 0/1 adjacency matrix (float64, zero diagonal)."""
-    n = graph.n
-    deg = degree(graph)
-    A = np.zeros((n, n))
-    A[np.repeat(np.arange(n), deg),
-      np.fromiter(chain.from_iterable(graph.adj), dtype=np.int64,
-                  count=int(deg.sum()))] = 1.0
-    return A
+    return np.count_nonzero(graph.A, axis=1).astype(np.int64)
 
 
 def _brandes_pass(A: np.ndarray):
@@ -133,13 +120,10 @@ def _closeness_from_sums(dist_sum: np.ndarray, comp_size: np.ndarray,
     return out
 
 
-def clustering(graph: ReviewGraph, A: Optional[np.ndarray] = None) -> np.ndarray:
+def clustering(graph: ReviewGraph) -> np.ndarray:
     """Local clustering; row v of ``(A @ A) * A`` sums to twice the number
-    of links among v's neighbours.  ``A`` is the graph's adjacency matrix,
-    built here when not given."""
-    n = graph.n
-    if A is None:
-        A = _adjacency(graph)
+    of links among v's neighbours."""
+    n, A = graph.n, graph.A
     k = A.sum(axis=1)
     links = np.zeros(n)
     for lo in range(0, n, SOURCE_BLOCK):
@@ -152,27 +136,24 @@ def clustering(graph: ReviewGraph, A: Optional[np.ndarray] = None) -> np.ndarray
 
 
 def pagerank(graph: ReviewGraph, damping: float = PAGERANK_DAMPING,
-             tol: float = PAGERANK_TOL, max_iter: int = PAGERANK_MAX_ITER,
-             A: Optional[np.ndarray] = None) -> tuple[np.ndarray, bool]:
+             tol: float = PAGERANK_TOL,
+             max_iter: int = PAGERANK_MAX_ITER) -> tuple[np.ndarray, bool]:
     """Power iteration on the undirected graph, edges treated as bidirectional.
 
     Degree-0 nodes are dangling and redistribute their mass uniformly.
     Returns the score vector and a convergence flag (L1 change < tol).
-    ``A`` is the graph's adjacency matrix, built here when not given.
 
-    The edges (u, v) are listed in row-major order of ``A``, the order of
-    ``graph.adj``: ``heads`` holds each v, and row u's weight ``contrib[u]``
-    repeats once per edge of u.  ``np.bincount`` adds each weight into bin v
-    in that order, starting from 0.0, so the sums are reproducible.
+    The edges (u, v) are listed in row-major order of ``graph.A``: ``heads``
+    holds each v, and row u's weight ``contrib[u]`` repeats once per edge of
+    u.  ``np.bincount`` adds each weight into bin v in that order, starting
+    from 0.0, so the sums are reproducible.
     """
     if not 0.0 < damping < 1.0:
         raise ValueError("damping must lie in (0, 1)")
     n = graph.n
     if n == 0:
         return np.zeros(0), True
-    if A is None:
-        A = _adjacency(graph)
-
+    A = graph.A
     heads = np.flatnonzero(A > 0.0) % n  # a flat search beats a 2-D np.nonzero
     degrees = A.sum(axis=1)
     edges_per_row = degrees.astype(np.int64)
@@ -198,17 +179,16 @@ def pagerank(graph: ReviewGraph, damping: float = PAGERANK_DAMPING,
 def compute_table(graph: ReviewGraph, damping: float = PAGERANK_DAMPING,
                   tol: float = PAGERANK_TOL,
                   max_iter: int = PAGERANK_MAX_ITER) -> CentralityTable:
-    """All five measures in one pass over one adjacency matrix (shortest-path
+    """All five measures over the graph's adjacency matrix (shortest-path
     work is shared)."""
-    A = _adjacency(graph)
-    bc_raw, dist_sum, comp_size = _brandes_pass(A)
-    pr, ok = pagerank(graph, damping, tol, max_iter, A)
+    bc_raw, dist_sum, comp_size = _brandes_pass(graph.A)
+    pr, ok = pagerank(graph, damping, tol, max_iter)
     return CentralityTable(
         nodes=graph.nodes,
         degree=degree(graph),
         betweenness=_normalize_betweenness(bc_raw, graph.n),
         closeness=_closeness_from_sums(dist_sum, comp_size, graph.n),
-        clustering=clustering(graph, A),
+        clustering=clustering(graph),
         pagerank=pr,
         pagerank_converged=ok,
     )

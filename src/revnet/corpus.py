@@ -107,7 +107,7 @@ class LogError:
     line: int
     message: str
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return f"line {self.line}: {self.message}"
 
 
@@ -444,13 +444,6 @@ class Corpus:
             rid: _History.index(assigned_by_reviewer.get(rid, []),
                                 reported_by_reviewer.get(rid, ()), self.decisions)
             for rid in assigned_by_reviewer.keys() | reported_by_reviewer.keys()}
-
-    @classmethod
-    def from_lines(cls, lines: Iterable[str]) -> "Corpus":
-        events, errors = parse_events(lines)
-        if errors:
-            raise CorpusError(errors)
-        return cls(events)
 
     @classmethod
     def from_file(cls, path) -> "Corpus":

@@ -79,7 +79,7 @@ class SnapshotCache:
         hit = self._prefixes.get(k)
         if hit is None:
             graph = build_graph(self.corpus, cutoff)
-            key = (graph.n, sum(map(len, graph.adj)))
+            key = (graph.n, np.count_nonzero(graph.A))
             table = self._tables.get(key)
             if table is None:
                 table = self._tables[key] = centrality.compute_table(graph)

@@ -17,17 +17,19 @@ import numpy as np
 from .corpus import Corpus
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReviewGraph:
     """Immutable reviewer-reviewer simple graph with a dense node index.
 
     ``nodes`` is sorted so that construction is independent of event order;
-    ``adj[i]`` lists neighbor indexes of ``nodes[i]`` in ascending order.
+    ``A`` is the read-only, symmetric, zero-diagonal float64 0/1 adjacency
+    matrix in ``nodes`` order.  Graphs compare by identity, since an array
+    field has no value equality.
     """
 
     cutoff: dt.date
     nodes: tuple[str, ...]
-    adj: tuple[tuple[int, ...], ...]
+    A: np.ndarray
 
     @property
     def n(self) -> int:
@@ -37,6 +39,11 @@ class ReviewGraph:
     def index(self) -> dict[str, int]:
         """Position of each reviewer in ``nodes``."""
         return {r: i for i, r in enumerate(self.nodes)}
+
+    @cached_property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        """Neighbour indexes of each node, ascending, read from ``A``."""
+        return tuple(tuple(np.flatnonzero(row).tolist()) for row in self.A)
 
 
 def pairs_before(corpus: Corpus, cutoff: dt.date) -> int:
@@ -58,10 +65,7 @@ def build_graph(corpus: Corpus, cutoff: dt.date = dt.date.max) -> ReviewGraph:
     editors = {e: i for i, e in enumerate(dict.fromkeys(e for e, _ in pairs))}
     B = np.zeros((len(editors), len(nodes)))
     B[[editors[e] for e, _ in pairs], [index[r] for _, r in pairs]] = 1.0
-    linked = B.T @ B > 0.0
-    np.fill_diagonal(linked, False)
-    # row-major positions of the links; a flat search beats a 2-D np.nonzero
-    neighbors = (np.flatnonzero(linked) % len(nodes)).tolist()
-    ends = np.cumsum(np.count_nonzero(linked, axis=1)).tolist()
-    adj = tuple(tuple(neighbors[a:b]) for a, b in zip([0] + ends, ends))
-    return ReviewGraph(cutoff, nodes, adj)
+    A = (B.T @ B > 0.0).astype(np.float64)
+    np.fill_diagonal(A, 0.0)
+    A.flags.writeable = False
+    return ReviewGraph(cutoff, nodes, A)

@@ -35,8 +35,6 @@ DEFAULT_EFFECTS = {
     "report_length": 0.0,
 }
 
-SIGNAL_NAMES = tuple(DEFAULT_EFFECTS)
-
 # neutral report vocabulary; anything appearing in a lexicon is dropped at
 # generation time so planted hit rates stay exact
 _FILLER = (

@@ -36,15 +36,19 @@ FAR_FUTURE = dt.date(2100, 1, 1)
 # -- graph construction ------------------------------------------------------
 
 
+def graph_from_matrix(cutoff: dt.date, nodes, A: np.ndarray) -> ReviewGraph:
+    """A ``ReviewGraph`` over ``A``, read-only as ``build_graph`` leaves it."""
+    A.flags.writeable = False
+    return ReviewGraph(cutoff, tuple(nodes), A)
+
+
 def graph_from_edges(n: int, edges, names=None) -> ReviewGraph:
     names = tuple(names) if names else tuple(f"r{i:03d}" for i in range(n))
-    sets = [set() for _ in range(n)]
+    A = np.zeros((n, n))
     for u, v in edges:
         if u != v:
-            sets[u].add(v)
-            sets[v].add(u)
-    adj = tuple(tuple(sorted(s)) for s in sets)
-    return ReviewGraph(FAR_FUTURE, names, adj)
+            A[u, v] = A[v, u] = 1.0
+    return graph_from_matrix(FAR_FUTURE, names, A)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> ReviewGraph:
@@ -56,14 +60,6 @@ def random_graph(rng: random.Random, n: int, p: float) -> ReviewGraph:
 def graph_edges(graph: ReviewGraph) -> list[tuple[int, int]]:
     """Each undirected edge once, as (u, v) with u < v, in index order."""
     return [(u, v) for u in range(graph.n) for v in graph.adj[u] if u < v]
-
-
-def adjacency_matrix(graph: ReviewGraph) -> np.ndarray:
-    A = np.zeros((graph.n, graph.n))
-    for u in range(graph.n):
-        for v in graph.adj[u]:
-            A[u, v] = 1.0
-    return A
 
 
 # -- shortest-path oracles ---------------------------------------------------
@@ -128,7 +124,7 @@ def oracle_closeness(graph: ReviewGraph) -> np.ndarray:
 
 
 def oracle_clustering(graph: ReviewGraph) -> np.ndarray:
-    A = adjacency_matrix(graph)
+    A = graph.A
     triangles = np.diag(A @ A @ A) / 2.0
     k = A.sum(axis=1)
     out = np.zeros(graph.n)
@@ -142,7 +138,7 @@ def oracle_pagerank(graph: ReviewGraph, damping: float = 0.85) -> np.ndarray:
     n = graph.n
     if n == 0:
         return np.zeros(0)
-    A = adjacency_matrix(graph)
+    A = graph.A
     deg = A.sum(axis=0)
     P = np.zeros((n, n))
     for u in range(n):
@@ -247,7 +243,7 @@ def reference_masked_brandes_pass(graph: ReviewGraph):
     reachable-component sizes).
     """
     n = graph.n
-    A = adjacency_matrix(graph)
+    A = graph.A
     bc = np.zeros(n)
     dist_sum = np.zeros(n, dtype=np.int64)
     comp_size = np.ones(n, dtype=np.int64)
@@ -359,9 +355,10 @@ def reference_snapshot(corpus: Corpus, cutoff: dt.date = dt.date.max) -> Biparti
                              frozenset(pairs))
 
 
-def reference_project(snap: BipartiteSnapshot) -> ReviewGraph:
+def reference_neighbors(snap: BipartiteSnapshot) -> tuple[tuple[int, ...], ...]:
     """Editor-pool form of ``revnet.review_graph.build_graph``'s projection:
-    each editor links every pair of its reviewers."""
+    each editor links every pair of its reviewers.  Returns each sorted
+    reviewer's neighbour indexes, ascending."""
     nodes = tuple(sorted(snap.reviewer_ids))
     index = {r: i for i, r in enumerate(nodes)}
     by_editor: dict[str, list[int]] = {}
@@ -376,8 +373,16 @@ def reference_project(snap: BipartiteSnapshot) -> ReviewGraph:
                 neighbor_sets[u].add(v)
                 neighbor_sets[v].add(u)
 
-    adj = tuple(tuple(sorted(s)) for s in neighbor_sets)
-    return ReviewGraph(snap.cutoff, nodes, adj)
+    return tuple(tuple(sorted(s)) for s in neighbor_sets)
+
+
+def reference_project(snap: BipartiteSnapshot) -> ReviewGraph:
+    """The graph of ``reference_neighbors``, its matrix set entry by entry."""
+    nodes = tuple(sorted(snap.reviewer_ids))
+    A = np.zeros((len(nodes), len(nodes)))
+    for u, neighbors in enumerate(reference_neighbors(snap)):
+        A[u, list(neighbors)] = 1.0
+    return graph_from_matrix(snap.cutoff, nodes, A)
 
 
 # -- reference forms of the log loader --------------------------------------

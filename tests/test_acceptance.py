@@ -319,7 +319,8 @@ def test_criterion_10_group_contrast_directions():
     assert np.mean(positive) > np.mean(negative)
 
     cutoff = config.start_year + config.n_years  # everything decided earlier
-    contrast = lqi_contrast(corpus, LEXICON, cutoff)
+    contrast = lqi_contrast(paper_records(corpus, LEXICON), corpus, LEXICON,
+                            cutoff)
     higher_in_high = ("future_tense", "insight", "inclusive",
                       "positive_emotion")
     higher_in_low = ("negation", "exclusive")

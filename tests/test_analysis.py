@@ -182,14 +182,15 @@ def test_irregular_cases_match_the_rescan_reference(lexicon, workload, config):
 
 def test_lqi_contrast_needs_enough_papers(lexicon):
     events = minimal_paper("p1", D(2009, 1, 1), outcome="accept", citations=5)
-    assert lqi_contrast(Corpus(events), lexicon, 2012) == {}
+    corpus = Corpus(events)
+    assert lqi_contrast(paper_records(corpus, lexicon), corpus, lexicon, 2012) == {}
 
 
 def test_lqi_contrast_shapes(lexicon):
     config = SynthConfig(seed=4, papers_per_year=150, n_years=3)
     corpus = Corpus(generate(config))
     cutoff = config.start_year + config.n_years + 1
-    contrast = lqi_contrast(corpus, lexicon, cutoff)
+    contrast = lqi_contrast(paper_records(corpus, lexicon), corpus, lexicon, cutoff)
     assert set(contrast) == {"future_tense", "negation", "insight", "causation",
                              "inclusive", "exclusive", "positive_emotion"}
     for hi, lo in contrast.values():

@@ -234,6 +234,7 @@ def test_graphs_and_tables_match_the_rescan_projection(events, offsets):
         graph = build_graph(corpus, cutoff)
         expected = reference_project(reference_snapshot(corpus, cutoff))
         assert graph.nodes == expected.nodes and graph.adj == expected.adj
+        assert graph.A.tobytes() == expected.A.tobytes()
         table, reference = compute_table(graph), reference_table(expected)
         for measure in MEASURES:
             assert getattr(table, measure).tobytes() == \

@@ -1,11 +1,15 @@
 import datetime as dt
 import random
 
+import numpy as np
+import pytest
+
 from revnet.corpus import Assignment, Corpus, Submission
 from revnet.review_graph import build_graph
 
 from helpers import (brute_projection_edges, graph_edges,
-                     random_assignment_events, reference_snapshot)
+                     random_assignment_events, reference_neighbors,
+                     reference_snapshot)
 
 D = dt.date
 
@@ -94,3 +98,18 @@ def test_projection_matches_brute_force_on_random_corpora():
         got = {(graph.nodes[u], graph.nodes[v]) for u, v in graph_edges(graph)}
         assert got == brute_projection_edges(snap)
 
+
+def test_matrix_is_read_only_and_adj_is_read_from_it():
+    rng = random.Random(11)
+    for _ in range(10):
+        corpus = Corpus(random_assignment_events(rng, n_papers=20, n_editors=4,
+                                                 n_reviewers=12))
+        cutoff = D(2010, 1, 1) + dt.timedelta(days=rng.randrange(0, 800))
+        graph = build_graph(corpus, cutoff)
+        A = graph.A
+        assert A.dtype == np.float64 and A.shape == (graph.n, graph.n)
+        assert set(np.unique(A).tolist()) <= {0.0, 1.0}
+        assert (A == A.T).all() and not A.diagonal().any()
+        with pytest.raises(ValueError):
+            A[0:1, 0:1] = 1.0
+        assert graph.adj == reference_neighbors(reference_snapshot(corpus, cutoff))

@@ -117,20 +117,24 @@ def cmd_features(args) -> int:
     return EXIT_OK
 
 
+def _columns(matrix: features.AssembledMatrix, names):
+    unknown = [n for n in names if n not in FEATURE_NAMES]
+    if unknown:
+        raise ValueError(f"model feature(s) {unknown} not in the feature CSV")
+    return matrix.X[:, [FEATURE_NAMES.index(n) for n in names]]
+
+
 def cmd_train(args) -> int:
     started = time.monotonic()
     config = svr.SvrConfig(C=args.C, gamma=args.gamma, epsilon=args.epsilon,
                            seed=args.seed)
     matrix = features.read_matrix_csv(args.features)
     names = NETWORK_FEATURES if args.network_only else FEATURE_NAMES
-    cols = [FEATURE_NAMES.index(n) for n in names]
-    X = matrix.X[:, cols]
+    X = _columns(matrix, names)
 
     report = svr.cross_validate(X, matrix.y, config, k=args.folds,
-                                seed=args.seed, feature_names=names)
-    means = svr.column_means(X)
-    model = svr.fit(svr.impute_columns(X, means), matrix.y, config, names)
-    model.impute_means = means
+                                feature_names=names)
+    model = svr.fit(X, matrix.y, config, names)
     svr.save_model(model, args.model_out)
     fits = [{"iterations": d.iterations, "converged": d.converged,
              "kkt_gap": d.kkt_gap, "n_support": d.n_support}
@@ -143,7 +147,7 @@ def cmd_train(args) -> int:
         print(f"  {name:5s} {report.f_stats[name]:.4f}")
     if args.report_out:
         doc = {
-            "r2": report.r2, "rmse": report.rmse, "seed": report.seed,
+            "r2": report.r2, "rmse": report.rmse, "seed": config.seed,
             "fold_r2": report.fold_r2, "fold_rmse": report.fold_rmse,
             "f_stats": report.f_stats, "features": list(names),
             "config": config.__dict__, "fits": fits,
@@ -163,8 +167,7 @@ def cmd_predict(args) -> int:
     started = time.monotonic()
     model = svr.load_model(args.model)
     matrix = features.read_matrix_csv(args.features)
-    cols = [FEATURE_NAMES.index(n) for n in model.feature_names]
-    preds = model.predict(svr.impute_columns(matrix.X[:, cols], model.impute_means))
+    preds = model.predict(_columns(matrix, model.feature_names))
     lines = ["paper_id,prediction"]
     lines += [f"{pid},{float(p)!r}" for pid, p in zip(matrix.paper_ids, preds)]
     _atomic_write(args.out, "\n".join(lines) + "\n")

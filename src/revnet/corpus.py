@@ -2,10 +2,12 @@
 
 An event log is line-delimited JSON, one record per line.  Every record has a
 ``type`` (submission | assignment | report | decision | citation), a
-``paper_id`` and an ISO date, plus kind-specific fields.  After validation the
-log is wrapped in an immutable :class:`Corpus` that serves point-in-time
-author and reviewer profiles; "point-in-time" always means *strictly before*
-the requested date, which is what makes downstream features leakage-free.
+``paper_id`` and an ISO date, plus kind-specific fields.  A paper id keys the
+rows of the CSV outputs, so it holds no comma or line break and no surrounding
+space.  After validation the log is wrapped in an immutable :class:`Corpus`
+that serves point-in-time author and reviewer profiles; "point-in-time"
+always means *strictly before* the requested date, which is what makes
+downstream features leakage-free.
 """
 
 from __future__ import annotations
@@ -222,6 +224,10 @@ def parse_events(lines: Iterable[str]) -> tuple[list[ReviewEvent], list[LogError
                 raise ValueError("record must be a JSON object")
             kind = record["type"]
             paper_id = _string(record, "paper_id")
+            if ("," in paper_id or "\n" in paper_id or "\r" in paper_id
+                    or paper_id != paper_id.strip()):
+                raise ValueError(f"paper_id must hold no comma or line break and "
+                                 f"no surrounding space, got {paper_id!r}")
             date = _date(record["date"])
             build = _BUILDERS.get(kind) if type(kind) is str else None
             if build is None:

@@ -10,8 +10,8 @@ Pairs are picked by maximal KKT violation with a second-order working-set
 choice for the partner, so the solve is deterministic.  The stopping rule is
 the standard gap m(a) - M(a) <= tol, which doubles as the KKT certificate.
 
-Features are z-scored with training statistics inside ``fit``; predictions
-apply the stored scaler, so models are self-contained and serializable.
+Features are mean-imputed and z-scored with training statistics inside ``fit``;
+predictions apply the stored statistics, so models are self-contained.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Optional
 
 import numpy as np
@@ -61,7 +61,7 @@ class FitDiagnostics:
     n_support: int
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SvrModel:
     support_vectors: np.ndarray  # standardized rows
     dual_coefs: np.ndarray  # alpha - alpha* of the support rows
@@ -70,8 +70,8 @@ class SvrModel:
     scaler_mean: np.ndarray
     scaler_std: np.ndarray
     feature_names: tuple[str, ...]
-    impute_means: np.ndarray  # fills NaN cells of rows to predict
-    diagnostics: Optional[FitDiagnostics] = field(default=None, compare=False)
+    impute_means: np.ndarray  # training column means; fill NaN cells
+    diagnostics: Optional[FitDiagnostics] = None
 
     def predict(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.float64)
@@ -80,7 +80,7 @@ class SvrModel:
         if rows.shape[1] != len(self.feature_names):
             raise ValueError(
                 f"expected {len(self.feature_names)} columns, got {rows.shape[1]}")
-        Z = (rows - self.scaler_mean) / self.scaler_std
+        Z = (_fill(rows, self.impute_means) - self.scaler_mean) / self.scaler_std
         # one row at a time, with an exactly rounded sum, so that a row's
         # score does not depend on the other rows in the batch
         sv, coefs, gamma = self.support_vectors, self.dual_coefs, self.config.gamma
@@ -90,6 +90,21 @@ class SvrModel:
             k = np.exp(-gamma * np.einsum("ij,ij->i", d, d))
             out[i] = math.fsum((k * coefs).tolist()) + self.bias
         return out
+
+
+def _column_means(X: np.ndarray) -> np.ndarray:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        means = np.nanmean(X, axis=0)
+    return np.where(np.isnan(means), 0.0, means)
+
+
+def _fill(X: np.ndarray, means: np.ndarray) -> np.ndarray:
+    # a C-order copy: its layout fixes the summation order of fit's X.mean
+    out = X.copy()
+    nan_r, nan_c = np.where(np.isnan(out))
+    out[nan_r, nan_c] = means[nan_c]
+    return out
 
 
 def _rbf(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
@@ -211,21 +226,23 @@ def _solve_smo(K: np.ndarray, y: np.ndarray, config: SvrConfig):
 
 def fit(X: np.ndarray, y: np.ndarray, config: SvrConfig,
         feature_names: Optional[tuple[str, ...]] = None) -> SvrModel:
-    """Standardize, solve the dual, and package the model.
+    """Impute, standardize, solve the dual, and package the model.
 
-    ``X`` must be fully imputed and finite, with at least 2 rows.  The
-    model's ``impute_means`` start as ``X``'s column means; a caller that
-    imputed ``X`` itself stores the means it used.
+    ``X`` needs at least 2 rows and no infinite cell.  NaN cells are filled
+    with their column's mean (0 for an all-NaN column), kept as the model's
+    ``impute_means`` for the rows it predicts.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or len(X) < 2:
         raise ValueError("need a 2-D matrix with at least 2 rows")
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise ValueError("fit requires finite, imputed (NaN-free) inputs")
+    if np.isinf(X).any() or not np.isfinite(y).all():
+        raise ValueError("fit requires finite targets and non-infinite features")
     if feature_names is None:
         feature_names = tuple(f"x{i}" for i in range(X.shape[1]))
 
+    impute = _column_means(X)
+    X = _fill(X, impute)
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     degenerate = std < 1e-12
@@ -242,7 +259,7 @@ def fit(X: np.ndarray, y: np.ndarray, config: SvrConfig,
                       RuntimeWarning, stacklevel=2)
 
     keep = np.abs(beta) >= 1e-12
-    model = SvrModel(
+    return SvrModel(
         support_vectors=Z[keep].copy(),
         dual_coefs=beta[keep].copy(),
         bias=bias,
@@ -250,10 +267,9 @@ def fit(X: np.ndarray, y: np.ndarray, config: SvrConfig,
         scaler_mean=mean,
         scaler_std=std,
         feature_names=tuple(feature_names),
-        impute_means=mean,
+        impute_means=impute,
         diagnostics=FitDiagnostics(iters, converged, gap, beta, int(keep.sum())),
     )
-    return model
 
 
 def f_statistic(column: np.ndarray, targets: np.ndarray) -> float:
@@ -290,32 +306,16 @@ class EvalReport:
     fold_r2: list[float]
     fold_rmse: list[float]
     f_stats: dict[str, float]
-    seed: int
-    config: SvrConfig
     fold_fits: list[FitDiagnostics]
 
 
-def impute_columns(X: np.ndarray, means: np.ndarray) -> np.ndarray:
-    out = X.copy()
-    nan_r, nan_c = np.where(np.isnan(out))
-    out[nan_r, nan_c] = means[nan_c]
-    return out
-
-
-def column_means(X: np.ndarray) -> np.ndarray:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        means = np.nanmean(X, axis=0)
-    return np.where(np.isnan(means), 0.0, means)
-
-
 def cross_validate(X: np.ndarray, y: np.ndarray, config: SvrConfig,
-                   k: int = 10, seed: Optional[int] = None,
+                   k: int = 10,
                    feature_names: Optional[tuple[str, ...]] = None) -> EvalReport:
-    """Seeded shuffled k-fold CV with per-fold mean imputation.
+    """k-fold CV over a shuffle seeded by ``config.seed``.
 
     Pooled R^2 and RMSE are computed over the concatenated held-out
-    predictions; F-statistics use the full (fully imputed) matrix.
+    predictions; F-statistics use the full matrix, mean-imputed.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -326,10 +326,8 @@ def cross_validate(X: np.ndarray, y: np.ndarray, config: SvrConfig,
         raise ValueError("k must be >= 2")
     if len(X) < k:
         raise ValueError(f"k={k} exceeds the {len(X)} available rows")
-    if seed is None:
-        seed = config.seed
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(X))
     folds = np.array_split(order, k)
 
@@ -337,18 +335,16 @@ def cross_validate(X: np.ndarray, y: np.ndarray, config: SvrConfig,
     fold_r2, fold_rmse, fold_fits = [], [], []
     for test_idx in folds:
         train_idx = np.setdiff1d(order, test_idx, assume_unique=True)
-        means = column_means(X[train_idx])
-        model = fit(impute_columns(X[train_idx], means), y[train_idx], config,
-                    feature_names)
-        p = model.predict(impute_columns(X[test_idx], means))
+        model = fit(X[train_idx], y[train_idx], config, feature_names)
+        p = model.predict(X[test_idx])
         preds[test_idx] = p
         fold_fits.append(model.diagnostics)
         fold_r2.append(_r2(y[test_idx], p))
         fold_rmse.append(float(np.sqrt(np.mean((y[test_idx] - p) ** 2))))
 
-    full = impute_columns(X, column_means(X))
-    names = feature_names or tuple(f"x{i}" for i in range(X.shape[1]))
-    f_stats = {name: f_statistic(full[:, i], y) for i, name in enumerate(names)}
+    full = _fill(X, _column_means(X))
+    f_stats = {name: f_statistic(full[:, i], y)
+               for i, name in enumerate(model.feature_names)}
 
     return EvalReport(
         r2=_r2(y, preds),
@@ -356,8 +352,6 @@ def cross_validate(X: np.ndarray, y: np.ndarray, config: SvrConfig,
         fold_r2=fold_r2,
         fold_rmse=fold_rmse,
         f_stats=f_stats,
-        seed=seed,
-        config=config,
         fold_fits=fold_fits,
     )
 
@@ -412,6 +406,8 @@ def load_model(path) -> SvrModel:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed model file {path}: {exc!r}") from exc
     n_feat = len(names)
+    if not all(type(n) is str for n in names) or len(set(names)) != n_feat:
+        raise ValueError(f"model feature_names not distinct strings: {names}")
     if sv.size == 0:
         sv = sv.reshape(0, n_feat)
     if sv.ndim != 2 or sv.shape[1] != n_feat:

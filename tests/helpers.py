@@ -13,6 +13,7 @@ import json
 import math
 import random
 import re
+import warnings
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -428,6 +429,9 @@ def _reference_parse_round(record: dict) -> int:
 def _reference_parse_record(record: dict):
     kind = _reference_require(record, "type")
     paper_id = _reference_require_str(record, "paper_id")
+    if re.search(r"[,\r\n]|\A\s|\s\Z", paper_id):
+        raise ValueError(f"paper_id must hold no comma or line break and "
+                         f"no surrounding space, got {paper_id!r}")
     date = _reference_parse_date(_reference_require(record, "date"))
     if kind == "submission":
         authors = _reference_require(record, "author_ids")
@@ -837,6 +841,12 @@ WRONGLY_TYPED = [
     (0, "title", ["T"], "title must be a string"),
 ]
 
+# ids that would split or shift a CSV row, or lose a space when read back
+BAD_PAPER_IDS = [
+    (index, "paper_id", pid, "paper_id must hold no comma or line break")
+    for index, pid in [(0, "p,x"), (1, "p\nx"), (2, "p1\r"), (3, " p1"), (4, "p1\t")]
+]
+
 
 def minimal_paper(pid: str, sub_date: dt.date, authors=("a1",),
                   editor="e1", reviewer="r1", outcome="accept",
@@ -1037,3 +1047,16 @@ def reference_kkt_max_violation(model, X: np.ndarray, y: np.ndarray) -> float:
             v = abs(ri + eps)
         worst = max(worst, v)
     return worst
+
+
+def reference_impute(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``X`` with each NaN cell set to its column's NaN-ignoring mean (0 for
+    an all-NaN column), as a C-order copy, and those means."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        means = np.nanmean(X, axis=0)
+    means = np.where(np.isnan(means), 0.0, means)
+    out = X.copy()
+    nan_r, nan_c = np.where(np.isnan(out))
+    out[nan_r, nan_c] = means[nan_c]
+    return out, means

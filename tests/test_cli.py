@@ -19,7 +19,7 @@ from revnet.corpus import Corpus, Report, write_events
 from revnet.features import NETWORK_FEATURES
 from revnet.text_metrics import CATEGORIES, load_lexicon
 
-from helpers import (SAMPLE, WRONGLY_TYPED, minimal_paper,
+from helpers import (BAD_PAPER_IDS, SAMPLE, WRONGLY_TYPED, minimal_paper,
                      reference_supporting_features)
 
 
@@ -88,7 +88,8 @@ def test_validate_flags_broken_log(tmp_path, capsys):
     assert "error" in err
 
 
-@pytest.mark.parametrize("index, field, value, fragment", WRONGLY_TYPED)
+@pytest.mark.parametrize("index, field, value, fragment",
+                         WRONGLY_TYPED + BAD_PAPER_IDS)
 def test_wrongly_typed_field_fails_validation_naming_the_line(
         tmp_path, capsys, index, field, value, fragment):
     records = [dict(r) for r in SAMPLE]
@@ -325,6 +326,7 @@ def test_train_rejects_nonfinite_hyperparameter(workspace, capsys):
     lambda doc: doc["scaler_std"].pop(),
     lambda doc: doc.update(bias=math.inf),
     lambda doc: doc["impute_means"].append(0.0),
+    lambda doc: doc["feature_names"].__setitem__(1, "Deg"),
 ])
 def test_predict_rejects_tampered_model(tmp_path, capsys, tamper):
     rng = np.random.default_rng(0)
@@ -339,6 +341,23 @@ def test_predict_rejects_tampered_model(tmp_path, capsys, tamper):
                          str(tmp_path / "preds.csv"))
     assert code == EXIT_USAGE
     assert err.startswith("error: model ") and "Traceback" not in err
+
+
+def test_predict_names_a_model_feature_the_csv_lacks(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(30, len(NETWORK_FEATURES)))
+    path = tmp_path / "model.json"
+    svr.save_model(svr.fit(X, X[:, 0], svr.SvrConfig(gamma=0.5), NETWORK_FEATURES), path)
+    doc = json.loads(path.read_text())
+    doc["feature_names"][2] = "Eigen"
+    path.write_text(json.dumps(doc))
+    feat_csv = tmp_path / "features.csv"
+    write_features(feat_csv, [feature_row("p0", ["1.0"] * 14)])
+    code, out, err = run(capsys, "predict", str(path), str(feat_csv),
+                         str(tmp_path / "preds.csv"))
+    assert code == EXIT_USAGE
+    assert "'Eigen'" in err and "Traceback" not in err
+    assert not (tmp_path / "preds.csv").exists()
 
 
 def test_analyze_writes_bundle(workspace, capsys):

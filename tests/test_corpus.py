@@ -7,7 +7,7 @@ from revnet.corpus import (Assignment, CitationRecord, Corpus, CorpusError,
                            Decision, Report, Submission, event_to_record,
                            parse_events, validate_events, write_events)
 
-from helpers import (SAMPLE, WRONGLY_TYPED, minimal_paper,
+from helpers import (BAD_PAPER_IDS, SAMPLE, WRONGLY_TYPED, minimal_paper,
                      reference_author_profile, reference_reviewer_profile)
 
 D = dt.date
@@ -66,7 +66,8 @@ def test_parse_rejects_bad_submission_and_citation():
     assert [e.line for e in errors] == [1, 2, 3, 4]
 
 
-@pytest.mark.parametrize("index, field, value, fragment", WRONGLY_TYPED)
+@pytest.mark.parametrize("index, field, value, fragment",
+                         WRONGLY_TYPED + BAD_PAPER_IDS)
 def test_parse_rejects_wrongly_typed_fields(index, field, value, fragment):
     record = dict(SAMPLE[index], **{field: value})
     events, errors = parse_events(lines_of([record]))

@@ -49,7 +49,8 @@ ODD_VALUES = st.one_of(
     st.sampled_from([1.0, 2.0, 0.0, -1.0, 2013.0, 2.5, 1e300]),
     st.sampled_from(["", "1", "17", "x", "a1", "accept", "revise", "withdraw",
                      "submission", "citation", "2010-01-05", "20100105",
-                     "2010-W01-1", "2010-13-45", "2010-1-5", "2010-01-05T00"]),
+                     "2010-W01-1", "2010-13-45", "2010-1-5", "2010-01-05T00",
+                     "p,1", " p1", "p1\n", "p\r1"]),
     st.lists(st.sampled_from(["a1", 1, None]), max_size=2))
 
 
@@ -93,6 +94,7 @@ def log_lines(draw):
 @settings(max_examples=400, deadline=None)
 @example([json.dumps(r) for r in SAMPLE])
 @example(['{"a": 1}  x', "\ufeff" + json.dumps(SAMPLE[0]), "[1, 2] ]"])
+@example([json.dumps(dict(SAMPLE[0], paper_id=pid)) for pid in ("p,1", " p1", "p1\n")])
 def test_parse_events_matches_the_reference(lines):
     assert_parses_like_reference(lines)
 

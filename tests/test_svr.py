@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import reference_kkt_max_violation, reference_solve_smo
-from revnet.svr import (EvalReport, SvrConfig, _rbf, _solve_smo, column_means,
-                        cross_validate, f_statistic, fit, impute_columns,
-                        load_model, save_model)
+from helpers import (reference_impute, reference_kkt_max_violation,
+                     reference_solve_smo)
+from revnet.svr import (EvalReport, SvrConfig, _rbf, _solve_smo, cross_validate,
+                        f_statistic, fit, load_model, save_model)
 
 
 def random_problem(seed, n=60, d=4, noise=0.1):
@@ -91,7 +91,7 @@ def test_noise_free_single_feature_recovery():
     X = x[:, None]
     y = x.copy()
     report = cross_validate(X, y, SvrConfig(C=100.0, gamma=0.5, epsilon=0.01),
-                            k=10, seed=0)
+                            k=10)
     assert report.r2 >= 0.99
 
 
@@ -186,11 +186,51 @@ def test_nonconvergence_warns_and_is_recorded():
     assert diag.n_support == len(model.dual_coefs)
 
 
-def test_fit_rejects_nan_and_tiny_input():
+def test_fit_fills_nan_and_rejects_tiny_input():
     with pytest.raises(ValueError):
         fit(np.array([[1.0]]), np.array([1.0]), SvrConfig())
-    with pytest.raises(ValueError):
-        fit(np.array([[np.nan], [1.0]]), np.array([1.0, 2.0]), SvrConfig())
+    X = np.array([[1.0, np.nan], [3.0, np.nan]])
+    with pytest.warns(RuntimeWarning, match="zero-variance"):
+        model = fit(X, np.array([1.0, 2.0]), SvrConfig())
+    assert model.impute_means.tolist() == [2.0, 0.0]  # all-NaN column gets 0
+    filled = model.support_vectors * model.scaler_std + model.scaler_mean
+    assert filled.tolist() == [[1.0, 0.0], [3.0, 0.0]]
+    assert np.isnan(X[0, 1])  # input untouched
+    X[0, 1] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        fit(X, np.array([1.0, 2.0]), SvrConfig())
+
+
+def test_fit_imputes_like_the_reference():
+    rng = np.random.default_rng(13)
+    wide = rng.normal(size=(45, 9))
+    wide[rng.random(size=wide.shape) < 0.2] = np.nan
+    wide[:, 6] = np.nan
+    X = wide[:, [0, 2, 3, 6, 8]]  # a column selection, as train makes
+    assert X.flags.f_contiguous and not X.flags.c_contiguous
+    y = np.nan_to_num(np.sin(wide[:, 1])) + 0.1 * rng.normal(size=45)
+    filled, means = reference_impute(X)
+    config = SvrConfig(C=10.0, gamma=0.3)
+    with pytest.warns(RuntimeWarning, match="zero-variance"):
+        model, expected = fit(X, y, config), fit(filled, y, config)
+    for name in ("support_vectors", "dual_coefs", "bias", "scaler_mean",
+                 "scaler_std"):
+        assert (np.asarray(getattr(model, name)).tobytes()
+                == np.asarray(getattr(expected, name)).tobytes()), name
+    assert model.impute_means.tobytes() == means.tobytes()
+    assert model.impute_means[3] == 0.0
+
+
+def test_predict_fills_nan_from_the_training_means():
+    X, y = random_problem(14)
+    X[::4, 1] = np.nan
+    model = fit(X, y, SvrConfig(gamma=0.5))
+    assert model.impute_means[1] == pytest.approx(np.nanmean(X[:, 1]))
+    row = X[0].copy()
+    by_hand = row.copy()
+    by_hand[1] = model.impute_means[1]
+    assert np.isnan(row[1])
+    assert model.predict(row).tobytes() == model.predict(by_hand).tobytes()
 
 
 def test_fit_and_cross_validate_reject_infinite_inputs():
@@ -203,7 +243,7 @@ def test_fit_and_cross_validate_reject_infinite_inputs():
         with pytest.raises(ValueError, match="finite"):
             fit(*args, SvrConfig())
         with pytest.raises(ValueError, match="finite"):
-            cross_validate(*args, SvrConfig(), k=5, seed=0)
+            cross_validate(*args, SvrConfig(), k=5)
 
 
 def test_zero_variance_column_warns_not_crashes():
@@ -254,23 +294,14 @@ def test_f_statistic_is_symmetric_in_sign():
 # -- imputation and cross-validation -----------------------------------------
 
 
-def test_column_means_ignores_nan():
-    X = np.array([[1.0, np.nan], [3.0, np.nan]])
-    means = column_means(X)
-    assert means.tolist() == [2.0, 0.0]  # all-NaN column falls back to 0
-    filled = impute_columns(X, means)
-    assert filled.tolist() == [[1.0, 0.0], [3.0, 0.0]]
-    assert np.isnan(X[0, 1])  # input untouched
-
-
 def test_cross_validate_is_deterministic():
     X, y = random_problem(6, n=80)
-    config = SvrConfig(C=10.0, gamma=0.5, epsilon=0.1)
-    a = cross_validate(X, y, config, k=5, seed=3)
-    b = cross_validate(X, y, config, k=5, seed=3)
+    config = SvrConfig(C=10.0, gamma=0.5, epsilon=0.1, seed=3)
+    a = cross_validate(X, y, config, k=5)
+    b = cross_validate(X, y, config, k=5)
     assert a.r2 == b.r2 and a.rmse == b.rmse
     assert a.fold_r2 == b.fold_r2 and a.f_stats == b.f_stats
-    c = cross_validate(X, y, config, k=5, seed=4)
+    c = cross_validate(X, y, dataclasses.replace(config, seed=4), k=5)
     assert c.r2 != a.r2  # different shuffle, different folds
 
 
@@ -278,15 +309,14 @@ def test_cross_validate_null_target_has_no_skill():
     rng = np.random.default_rng(12)
     X = rng.normal(size=(100, 4))
     y = rng.normal(size=100)
-    report = cross_validate(X, y, SvrConfig(C=1.0, gamma=0.5, epsilon=0.1),
-                            k=5, seed=0)
+    report = cross_validate(X, y, SvrConfig(C=1.0, gamma=0.5, epsilon=0.1), k=5)
     assert report.r2 <= 0.1
 
 
 def test_cross_validate_handles_missing_values():
     X, y = random_problem(8, n=60)
     X[::7, 2] = np.nan
-    report = cross_validate(X, y, SvrConfig(C=10.0, gamma=0.5), k=5, seed=0)
+    report = cross_validate(X, y, SvrConfig(C=10.0, gamma=0.5), k=5)
     assert isinstance(report, EvalReport)
     assert np.isfinite(report.r2)
     assert len(report.fold_r2) == 5
@@ -343,6 +373,8 @@ def tampered_models():
     yield "bias", lambda doc: doc.update(bias=math.inf)
     yield "malformed", lambda doc: doc.pop("scaler_std")
     yield "malformed", lambda doc: doc["config"].update(tol="tight")
+    yield "distinct strings", lambda doc: doc["feature_names"].__setitem__(1, "a")
+    yield "distinct strings", lambda doc: doc["feature_names"].__setitem__(0, ["a"])
 
 
 def test_load_model_rejects_tampered_shapes(tmp_path):

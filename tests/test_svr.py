@@ -186,19 +186,18 @@ def test_nonconvergence_warns_and_is_recorded():
     assert diag.n_support == len(model.dual_coefs)
 
 
-def test_fit_fills_nan_and_rejects_tiny_input():
+def test_fit_rejects_nan_and_tiny_input():
     with pytest.raises(ValueError):
         fit(np.array([[1.0]]), np.array([1.0]), SvrConfig())
-    X = np.array([[1.0, np.nan], [3.0, np.nan]])
-    with pytest.warns(RuntimeWarning, match="zero-variance"):
-        model = fit(X, np.array([1.0, 2.0]), SvrConfig())
-    assert model.impute_means.tolist() == [2.0, 0.0]  # all-NaN column gets 0
-    filled = model.support_vectors * model.scaler_std + model.scaler_mean
-    assert filled.tolist() == [[1.0, 0.0], [3.0, 0.0]]
-    assert np.isnan(X[0, 1])  # input untouched
-    X[0, 1] = np.inf
     with pytest.raises(ValueError, match="finite"):
-        fit(X, np.array([1.0, 2.0]), SvrConfig())
+        fit(np.array([[0.0], [1.0]]), np.array([1.0, np.nan]), SvrConfig())
+    # a NaN feature cell is filled, an infinite one still raises
+    X = np.array([[np.nan], [1.0], [3.0]])
+    model = fit(X, np.array([1.0, 2.0, 3.0]), SvrConfig())
+    assert model.impute_means.tolist() == [2.0]
+    X[0, 0] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        fit(X, np.array([1.0, 2.0, 3.0]), SvrConfig())
 
 
 def test_fit_imputes_like_the_reference():
@@ -292,6 +291,16 @@ def test_f_statistic_is_symmetric_in_sign():
 
 
 # -- imputation and cross-validation -----------------------------------------
+
+
+def test_column_means_ignores_nan():
+    X = np.array([[1.0, np.nan], [3.0, np.nan]])
+    with pytest.warns(RuntimeWarning, match="zero-variance"):
+        model = fit(X, np.array([1.0, 2.0]), SvrConfig())
+    assert model.impute_means.tolist() == [2.0, 0.0]  # all-NaN column gets 0
+    filled = model.support_vectors * model.scaler_std + model.scaler_mean
+    assert filled.tolist() == [[1.0, 0.0], [3.0, 0.0]]
+    assert np.isnan(X[0, 1])  # input untouched
 
 
 def test_cross_validate_is_deterministic():

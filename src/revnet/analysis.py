@@ -19,7 +19,7 @@ from . import centrality
 from .corpus import Corpus
 from .features import supporting_features
 from .review_graph import build_graph
-from .text_metrics import CATEGORIES, Lexicon, category_percentages
+from .text_metrics import CATEGORIES, Lexicon, category_percentages, tokenize
 
 HIGH_CITED_REJECTED_MIN = 20  # twice the rejected papers' average citation
 LOW_CITED_ACCEPTED_MAX = 10  # exclusive upper bound
@@ -214,7 +214,7 @@ def lqi_contrast(records: Sequence[PaperRecord], corpus: Corpus, lexicon: Lexico
         rows = []
         for r in group:
             for rep in corpus.reports.get(r.paper_id, []):
-                rows.append(category_percentages(rep.text, lexicon))
+                rows.append(category_percentages(tokenize(rep.text), lexicon))
         if not rows:
             return {c: 0.0 for c in CATEGORIES}
         return {c: float(np.mean([r[c] for r in rows])) for c in CATEGORIES}

@@ -17,11 +17,8 @@ The 14 regression features, in fixed column order:
 
 Every history-derived entry uses events strictly before the paper's
 submission date; undefined entries stay NaN with a parallel missing mask.
-Imputation happens at model time, never here.
-
-RL counts whitespace-separated words (``str.split()``) while SNT divides by
-the lexicon's ``[a-z]+`` tokens, so one report has two word counts.  Both
-are kept as they are because unifying them would change feature bytes.
+Imputation happens at model time, never here.  A word is a token of
+``text_metrics.tokenize``.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ import numpy as np
 from . import centrality
 from .corpus import Corpus
 from .review_graph import build_graph, pairs_before
-from .text_metrics import Lexicon, sentiment_score
+from .text_metrics import Lexicon, sentiment_score, tokenize
 
 FEATURE_NAMES = ("Deg", "BC", "CC", "Clus", "PR", "RR", "TS", "RL", "SNT",
                  "AR", "AP", "RAC", "TA", "DR")
@@ -148,8 +145,9 @@ def supporting_features(paper_id: str, corpus: Corpus, lexicon: Lexicon) -> np.n
 
     rr = float(max((r.round for r in reports), default=0)) if reports else float("nan")
     ts = float(len(sub.author_ids))
-    rl = _mean_or_nan([float(len(r.text.split())) for r in first_round])
-    snt = _mean_or_nan([sentiment_score(r.text, lexicon) for r in first_round])
+    tokens = [tokenize(r.text) for r in first_round]
+    rl = _mean_or_nan([float(len(t)) for t in tokens])
+    snt = _mean_or_nan([sentiment_score(t, lexicon) for t in tokens])
 
     profiles = [corpus.author_profile(a, as_of) for a in sub.author_ids]
     ar = _mean_or_nan([p.acceptance_ratio for p in profiles

@@ -4,8 +4,10 @@ Sentiment is the signed hit ratio (positive - negative) / tokens, normalized
 to [-1, 1]; category scores are percentages of tokens falling in each of the
 seven category word lists.  Lexicons are always loaded from files (one word
 per line: ``positive.txt``, ``negative.txt``, ``cat_<name>.txt``) so they can
-be swapped without touching code.  Every lexicon word must itself be a
-token (one ``[a-z]+`` run), or no text could ever match it.
+be swapped without touching code.  A word is a token of :func:`tokenize`,
+one ``[a-z]+`` run; every lexicon word must itself be one, or no text could
+ever match it.  The scorers read a tokenized report, so the caller tokenizes
+each report once.
 """
 
 from __future__ import annotations
@@ -100,15 +102,13 @@ def tokenize(text: str) -> list[str]:
             .decode("ascii").split())
 
 
-def sentiment_score(text: str, lexicon: Lexicon) -> float:
-    tokens = tokenize(text)
+def sentiment_score(tokens: list[str], lexicon: Lexicon) -> float:
     if not tokens:
         return 0.0
     return sum(map(lexicon.polarity.get, tokens, repeat(0))) / len(tokens)
 
 
-def category_percentages(text: str, lexicon: Lexicon) -> dict[str, float]:
-    tokens = tokenize(text)
+def category_percentages(tokens: list[str], lexicon: Lexicon) -> dict[str, float]:
     if not tokens:
         return {name: 0.0 for name in CATEGORIES}
     hits = [0] * len(CATEGORIES)

@@ -710,7 +710,8 @@ def reference_supporting_features(paper_id: str, corpus: Corpus,
 
     rr = float(max((r.round for r in reports), default=0)) if reports else float("nan")
     ts = float(len(sub.author_ids))
-    rl = _reference_mean_or_nan([float(len(r.text.split())) for r in first_round])
+    rl = _reference_mean_or_nan([float(len(reference_tokenize(r.text)))
+                                 for r in first_round])
     snt = _reference_mean_or_nan([reference_sentiment_score(r.text, lexicon)
                                   for r in first_round])
 
@@ -781,7 +782,7 @@ def reference_irregular_cases(corpus: Corpus, exposure_cutoff_year: int):
             decision_year=year,
             author_acceptance_ratio=float(np.mean(author_ratios)) if author_ratios else None,
             reviewer_accept_ratio=float(np.mean(reviewer_ratios)) if reviewer_ratios else None,
-            first_round_report_length=(float(np.mean([len(r.text.split())
+            first_round_report_length=(float(np.mean([len(reference_tokenize(r.text))
                                                       for r in first_round]))
                                        if first_round else None),
         )

@@ -16,7 +16,8 @@ from revnet.features import (CSV_HEADER, FEATURE_NAMES, NETWORK_FEATURES,
                              network_features, read_matrix_csv,
                              supporting_features, write_matrix_csv)
 
-from helpers import minimal_paper, reference_supporting_features
+from helpers import (minimal_paper, reference_sentiment_score,
+                     reference_supporting_features)
 
 D = dt.date
 
@@ -202,6 +203,16 @@ def test_supporting_features_by_hand(lexicon):
     # r1's last assignment before 2010-03-01 was 2009-05-06
     assert ta == pytest.approx(float((D(2010, 3, 1) - D(2009, 5, 6)).days))
     assert dr == pytest.approx(30.0)  # 2010-03-11 -> 2010-04-10
+
+
+def test_rl_counts_the_tokens_that_snt_divides_by(lexicon):
+    text = "State-of-the-art 3D naïve results."
+    corpus = Corpus([Submission("p1", D(2010, 1, 1), ("a1",), ""),
+                     Assignment("p1", D(2010, 1, 5), "e1", "r1", 1),
+                     Report("p1", D(2010, 2, 1), "r1", 1, text, "accept")])
+    rr, ts, rl, snt, *_ = supporting_features("p1", corpus, lexicon)
+    assert rl == 8.0  # state of the art d na ve results; split() gives 4
+    assert snt == reference_sentiment_score(text, lexicon)
 
 
 def test_supporting_features_profiles_each_author_once(lexicon, monkeypatch):

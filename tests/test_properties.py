@@ -129,7 +129,7 @@ CATEGORY_WORDS = sorted(set().union(*LEXICON.categories.values()))
                 max_size=40).map(" ".join))
 @settings(max_examples=200)
 def test_category_percentages_match_the_per_category_passes(text):
-    assert category_percentages(text, LEXICON) == \
+    assert category_percentages(tokenize(text), LEXICON) == \
         reference_category_percentages(text, LEXICON)
 
 

@@ -27,16 +27,16 @@ def small_lexicon():
 
 def test_sentiment_score_signed_ratio():
     lex = small_lexicon()
-    assert sentiment_score("good good bad the", lex) == pytest.approx(1 / 4)
-    assert sentiment_score("bad wrong", lex) == -1.0
-    assert sentiment_score("good clear", lex) == 1.0
-    assert sentiment_score("", lex) == 0.0
-    assert sentiment_score("neutral words only", lex) == 0.0
+    assert sentiment_score(tokenize("good good bad the"), lex) == pytest.approx(1 / 4)
+    assert sentiment_score(tokenize("bad wrong"), lex) == -1.0
+    assert sentiment_score(tokenize("good clear"), lex) == 1.0
+    assert sentiment_score(tokenize(""), lex) == 0.0
+    assert sentiment_score(tokenize("neutral words only"), lex) == 0.0
 
 
 def test_category_percentages():
     lex = small_lexicon()
-    pct = category_percentages("not never think the end", lex)
+    pct = category_percentages(tokenize("not never think the end"), lex)
     assert pct["negation"] == pytest.approx(40.0)
     assert pct["insight"] == pytest.approx(20.0)
     assert pct["future_tense"] == 0.0
@@ -47,7 +47,7 @@ def test_a_word_in_two_categories_counts_in_both():
                   {name: frozenset() for name in CATEGORIES} | {
                       "negation": frozenset({"not", "never"}),
                       "exclusive": frozenset({"not", "but"})})
-    pct = category_percentages("Not but not never", lex)
+    pct = category_percentages(tokenize("Not but not never"), lex)
     assert pct == reference_category_percentages("Not but not never", lex)
     assert pct["negation"] == 75.0 and pct["exclusive"] == 75.0
     assert pct["insight"] == 0.0
@@ -106,8 +106,8 @@ def test_packaged_lexicon_loads_and_is_sane():
 def test_sentiment_bounds_and_concatenation(lexicon):
     a = "excellent clear rigorous"
     b = "flawed wrong incorrect unclear"
-    sa = sentiment_score(a, lexicon)
-    sb = sentiment_score(b, lexicon)
+    sa = sentiment_score(tokenize(a), lexicon)
+    sb = sentiment_score(tokenize(b), lexicon)
     assert -1.0 <= sb < 0 < sa <= 1.0
-    combined = sentiment_score(a + " " + b, lexicon)
+    combined = sentiment_score(tokenize(a + " " + b), lexicon)
     assert min(sa, sb) <= combined <= max(sa, sb)

@@ -38,7 +38,9 @@ def test_every_tracer_target_resolves():
 
 def test_traced_pipeline_reports_what_the_tracer_observes(tmp_path):
     """``Tracer._observe`` reads attributes of graphs, tables, fits, corpora
-    and matrices; each counter below stays 0 if one of them is renamed."""
+    and matrices; each counter below stays 0 if one of them is renamed, and
+    the sentiment count stays 0 if ``features`` stops calling
+    ``text_metrics.sentiment_score`` under that name."""
     log = tmp_path / "log.jsonl"
     write_events(generate(SynthConfig(seed=1, papers_per_year=40, n_years=3,
                                       n_reviewers=20, n_editors=4,
@@ -57,5 +59,6 @@ def test_traced_pipeline_reports_what_the_tracer_observes(tmp_path):
         tracer.uninstall()
     metrics = module.layer_metrics(tracer.spans, tracer.counters)
     for name in ("centrality.distinct_graphs", "review_graph.edges_max",
-                 "corpus.events", "svr.smo_iters", "features.rows"):
+                 "corpus.events", "svr.smo_iters", "features.rows",
+                 "text_metrics.sentiment_calls"):
         assert metrics[name] > 0, name

@@ -228,9 +228,10 @@ def fit(X: np.ndarray, y: np.ndarray, config: SvrConfig,
         feature_names: Optional[tuple[str, ...]] = None) -> SvrModel:
     """Impute, standardize, solve the dual, and package the model.
 
-    ``X`` needs at least 2 rows and no infinite cell.  NaN cells are filled
-    with their column's mean (0 for an all-NaN column), kept as the model's
-    ``impute_means`` for the rows it predicts.
+    ``X`` needs at least 2 rows and no infinite cell, and ``feature_names``
+    (default ``x0``, ``x1``, ...) one distinct name per column.  NaN cells are
+    filled with their column's mean (0 for an all-NaN column), kept as the
+    model's ``impute_means`` for the rows it predicts.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -240,6 +241,9 @@ def fit(X: np.ndarray, y: np.ndarray, config: SvrConfig,
         raise ValueError("fit requires finite targets and non-infinite features")
     if feature_names is None:
         feature_names = tuple(f"x{i}" for i in range(X.shape[1]))
+    if len(feature_names) != X.shape[1] or len(set(feature_names)) != X.shape[1]:
+        raise ValueError(f"feature_names must be {X.shape[1]} distinct names, "
+                         f"got {tuple(feature_names)}")
 
     impute = _column_means(X)
     X = _fill(X, impute)

@@ -200,6 +200,14 @@ def test_fit_rejects_nan_and_tiny_input():
         fit(X, np.array([1.0, 2.0, 3.0]), SvrConfig())
 
 
+def test_fit_rejects_names_that_do_not_name_each_column_once():
+    X, y = random_problem(0, n=20, d=3)
+    for names in (("a", "b"), ("a", "a", "b"), ("a", "b", "c", "d")):
+        with pytest.raises(ValueError, match="3 distinct names"):
+            fit(X, y, SvrConfig(), names)
+    assert fit(X, y, SvrConfig(), ("a", "b", "c")).feature_names == ("a", "b", "c")
+
+
 def test_fit_imputes_like_the_reference():
     rng = np.random.default_rng(13)
     wide = rng.normal(size=(45, 9))

@@ -69,31 +69,17 @@ class CitationRecord:
 ReviewEvent = Union[Submission, Assignment, Report, Decision, CitationRecord]
 
 
+_TYPE_NAMES = {Submission: "submission", Assignment: "assignment", Report: "report",
+               Decision: "decision", CitationRecord: "citation"}
+
+
 def event_to_record(ev: ReviewEvent) -> dict:
-    """Inverse of :func:`parse_events` for one event."""
-    if isinstance(ev, Submission):
-        return {"type": "submission", "paper_id": ev.paper_id,
-                "date": ev.date.isoformat(), "author_ids": list(ev.author_ids),
-                "title": ev.title}
-    if isinstance(ev, Assignment):
-        return {"type": "assignment", "paper_id": ev.paper_id,
-                "date": ev.date.isoformat(), "editor_id": ev.editor_id,
-                "reviewer_id": ev.reviewer_id, "round": ev.round}
-    if isinstance(ev, Report):
-        return {"type": "report", "paper_id": ev.paper_id,
-                "date": ev.date.isoformat(), "reviewer_id": ev.reviewer_id,
-                "round": ev.round, "text": ev.text,
-                "recommendation": ev.recommendation}
-    if isinstance(ev, Decision):
-        return {"type": "decision", "paper_id": ev.paper_id,
-                "date": ev.date.isoformat(), "outcome": ev.outcome,
-                "round": ev.round}
-    if isinstance(ev, CitationRecord):
-        return {"type": "citation", "paper_id": ev.paper_id,
-                "date": ev.date.isoformat(),
-                "cumulative_citations": ev.cumulative_citations,
-                "as_of_year": ev.as_of_year}
-    raise TypeError(f"not a review event: {ev!r}")
+    """Inverse of :func:`parse_events` for one event: its fields, the date as
+    ``YYYY-MM-DD``, and its ``type``.  ``json.dumps`` writes a tuple as a list."""
+    kind = _TYPE_NAMES.get(type(ev))
+    if kind is None:
+        raise TypeError(f"not a review event: {ev!r}")
+    return {**vars(ev), "type": kind, "date": ev.date.isoformat()}
 
 
 def write_events(events: Iterable[ReviewEvent], path) -> None:

@@ -156,7 +156,9 @@ def test_round_trip_write_then_parse(tmp_path):
     write_events(events, path)
     reparsed, errors = parse_events(path.read_text().splitlines())
     assert errors == [] and reparsed == events
-    assert [event_to_record(e) for e in events] == SAMPLE
+    assert [json.loads(json.dumps(event_to_record(e))) for e in events] == SAMPLE
+    with pytest.raises(TypeError, match="not a review event"):
+        event_to_record(SAMPLE[0])
 
 
 def test_paper_ordering_and_lookups():

@@ -1,7 +1,9 @@
 """The byte contract: outputs for a fixed seed repeat across commits.
 
 ``generate -> validate -> features -> analyze`` runs in process on the tiny
-benchmark corpus at two seeds, and the SHA-256 of the event log,
+benchmark corpus at two seeds, and at one seed with six years instead of
+three, so that the LQI contrast and the irregular-case lists have rows.  The
+SHA-256 of the event log,
 ``features.csv``, ``features.csv.missing`` and every analysis CSV must equal
 the digests committed in ``digests.json``.  Models and predictions are left
 out: their bytes drift with the BLAS kernel.  A change that alters these
@@ -22,14 +24,16 @@ from revnet.cli import main
 from helpers import benchmark_configs
 
 DIGESTS = Path(__file__).with_name("digests.json")
-SEEDS = (3, 6)
+# key in digests.json -> (seed, overrides of the tiny workload's config)
+CASES = {"3": (3, {}), "6": (6, {}), "6/n_years=6": (6, {"n_years": 6})}
 WINDOW = ("2008", "2009")  # the tiny workload's publication years
 
 
-def pipeline_digests(root: Path, seed: int) -> dict[str, str]:
+def pipeline_digests(root: Path, seed: int, overrides: dict) -> dict[str, str]:
     """Run the pipeline under ``root``; SHA-256 per output, keyed by path."""
     config = root / "config.json"
-    config.write_text(json.dumps(benchmark_configs()["tiny"]), encoding="utf-8")
+    config.write_text(json.dumps({**benchmark_configs()["tiny"], **overrides}),
+                      encoding="utf-8")
     log = root / "events.jsonl"
     for argv in (["generate", str(log), "--config", str(config), "--seed", str(seed)],
                  ["validate", str(log)],
@@ -44,10 +48,10 @@ def pipeline_digests(root: Path, seed: int) -> dict[str, str]:
             for path in outputs}
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_outputs_match_the_committed_digests(tmp_path, seed):
-    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))[str(seed)]
-    actual = pipeline_digests(tmp_path, seed)
+@pytest.mark.parametrize("case", CASES)
+def test_outputs_match_the_committed_digests(tmp_path, case):
+    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))[case]
+    actual = pipeline_digests(tmp_path, *CASES[case])
     mismatches = [f"{name}: expected {expected.get(name)}, got {actual.get(name)}"
                   for name in sorted(expected.keys() | actual.keys())
                   if expected.get(name) != actual.get(name)]
@@ -56,8 +60,8 @@ def test_outputs_match_the_committed_digests(tmp_path, seed):
 
 if __name__ == "__main__":
     digests = {}
-    for seed in SEEDS:
+    for case, (seed, overrides) in CASES.items():
         with tempfile.TemporaryDirectory() as tmp:
-            digests[str(seed)] = pipeline_digests(Path(tmp), seed)
+            digests[case] = pipeline_digests(Path(tmp), seed, overrides)
     DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n",
                        encoding="utf-8")

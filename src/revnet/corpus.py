@@ -82,10 +82,13 @@ def event_to_record(ev: ReviewEvent) -> dict:
     return {**vars(ev), "type": kind, "date": ev.date.isoformat()}
 
 
+# the bytes of json.dumps(record, sort_keys=True), without a new encoder per call
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
+
+
 def write_events(events: Iterable[ReviewEvent], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for ev in events:
-            fh.write(json.dumps(event_to_record(ev), sort_keys=True) + "\n")
+        fh.writelines([_ENCODE(event_to_record(ev)) + "\n" for ev in events])
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,9 @@ import datetime as dt
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass, field, fields
+from itertools import accumulate
 
 from .corpus import (Assignment, CitationRecord, Decision, Report, ReviewEvent,
                      Submission)
@@ -73,32 +75,66 @@ class SynthConfig:
     round_probs_rejected: tuple = (0.30, 0.05)
 
     def __post_init__(self):
-        object.__setattr__(self, "round_probs_accepted",
-                           tuple(self.round_probs_accepted))
-        object.__setattr__(self, "round_probs_rejected",
-                           tuple(self.round_probs_rejected))
+        # annotations are strings here (``from __future__ import annotations``)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and not _is_int(value):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and not _is_finite(value):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         for name in ("round_probs_accepted", "round_probs_rejected"):
             probs = getattr(self, name)
-            if len(probs) != 2 or not all(0.0 <= p <= 1.0 for p in probs):
-                raise ValueError(f"{name} must be two probabilities")
+            if not (isinstance(probs, (list, tuple)) and len(probs) == 2
+                    and all(_is_finite(p) and 0.0 <= p <= 1.0 for p in probs)):
+                raise ValueError(f"{name} must be two probabilities, got {probs!r}")
+            object.__setattr__(self, name, tuple(probs))
         if self.papers_per_year < 1 or self.n_years < 1:
             raise ValueError("need at least one paper and one year")
         if self.n_reviewers < 2 or self.n_editors < 1 or self.n_authors < 1:
             raise ValueError("infeasible population sizes")
+        if self.submission_grid_days < 1:
+            raise ValueError(f"submission_grid_days must be at least 1, "
+                             f"got {self.submission_grid_days}")
+        # decisions may fall in the year after the last submission year
+        if self.start_year < dt.MINYEAR or self.start_year + self.n_years > dt.MAXYEAR:
+            raise ValueError(f"start_year {self.start_year} to start_year + n_years "
+                             f"{self.start_year + self.n_years} must lie within "
+                             f"{dt.MINYEAR}-{dt.MAXYEAR}")
         for name, frac in (("multi_reviewer_fraction", self.multi_reviewer_fraction),
                            ("accept_rate", self.accept_rate),
                            ("withdraw_rate", self.withdraw_rate)):
             if not 0.0 <= frac <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
+        if not isinstance(self.effects, dict):
+            raise ValueError(f"effects must map effect names to weights, "
+                             f"got {self.effects!r}")
         unknown = set(self.effects) - set(DEFAULT_EFFECTS)
         if unknown:
             raise ValueError(f"unknown effect names: {sorted(unknown)}")
+        bad = {name: w for name, w in self.effects.items() if not _is_finite(w)}
+        if bad:
+            raise ValueError(f"effects must be finite numbers, got {bad}")
 
     @classmethod
     def from_file(cls, path) -> "SynthConfig":
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: a generator config is a JSON object, "
+                             f"not {type(raw).__name__}")
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"{path}: unknown generator config keys {unknown}")
         return cls(**raw)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -138,10 +174,17 @@ def _word_pools(lexicon: Lexicon):
     for words in pools.values():
         reserved.update(words)
     pools["filler"] = [w for w in _FILLER if w not in reserved]
+    empty = [name for name, words in pools.items() if not words]
+    if empty:
+        raise ValueError(f"empty report word pool(s) {empty}: each lexicon "
+                         f"list needs a word, and the filler a word outside "
+                         f"the lexicon")
     return pools
 
 
 def _report_text(rng: random.Random, pools, s_snt: float, length: int) -> str:
+    """``length`` words; each takes one ``rng.random()`` for its pool, then
+    ``rng.choice(pool)``'s draw.  The order of these draws fixes the log bytes."""
     lean = math.tanh(s_snt)
     probs = [
         ("positive", 0.035 * (1.0 + 0.7 * lean)),
@@ -154,17 +197,32 @@ def _report_text(rng: random.Random, pools, s_snt: float, length: int) -> str:
         ("negation", 0.010 * (1.0 - 0.5 * lean)),
         ("exclusive", 0.013 * (1.0 - 0.5 * lean)),
     ]
+    # the word's pool is the first whose running sum exceeds u, else filler
+    bounds = list(accumulate(p for _, p in probs))
+    top = bounds[-1]
+    draws = [(pools[name], len(pools[name]), len(pools[name]).bit_length())
+             for name, _ in probs]
+    filler = pools["filler"]
+    n_filler, k_filler = len(filler), len(filler).bit_length()
+    uniform, getrandbits = rng.random, rng.getrandbits
     words = []
+    append = words.append
+    # each branch is rng.choice(pool) as CPython draws it,
+    # _randbelow_with_getrandbits(n); about 80% of words are filler, which
+    # skips the bisection
     for _ in range(length):
-        u = rng.random()
-        acc = 0.0
-        pool = "filler"
-        for name, p in probs:
-            acc += p
-            if u < acc:
-                pool = name
-                break
-        words.append(rng.choice(pools[pool]))
+        u = uniform()
+        if u >= top:
+            r = getrandbits(k_filler)
+            while r >= n_filler:
+                r = getrandbits(k_filler)
+            append(filler[r])
+        else:
+            pool, n, k = draws[bisect_right(bounds, u)]
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            append(pool[r])
     return " ".join(words)
 
 
@@ -265,7 +323,11 @@ def _generate_full(config: SynthConfig) -> tuple[list[ReviewEvent], GroundTruth]
         accepted = p["u_accept"] < p_accept
         p["outcome"] = "accept" if accepted else "reject"
         base = config.citation_base if accepted else config.rejected_citation_base
-        p["citations"] = int(round(math.exp(base + config.citation_spread * q_std[i])))
+        try:
+            p["citations"] = int(round(math.exp(base + config.citation_spread * q_std[i])))
+        except OverflowError:
+            raise ValueError(f"citation_base, rejected_citation_base and citation_spread "
+                             f"give {p['pid']} more citations than a float holds") from None
 
     # round counts depend on the outcome; the remaining draws (lags, delays,
     # report texts) happen here in generation order so the stream stays

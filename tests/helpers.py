@@ -793,6 +793,37 @@ def reference_irregular_cases(corpus: Corpus, exposure_cutoff_year: int):
 # -- corpus builders ---------------------------------------------------------
 
 
+def reference_report_text(rng: random.Random, pools, s_snt: float, length: int) -> str:
+    """The generator's report text as a linear scan of the running sums and
+    one ``rng.choice`` per word; ``synth._report_text`` must draw the same."""
+    lean = math.tanh(s_snt)
+    probs = [
+        ("positive", 0.035 * (1.0 + 0.7 * lean)),
+        ("negative", 0.035 * (1.0 - 0.7 * lean)),
+        ("future_tense", 0.012 * (1.0 + 0.5 * lean)),
+        ("insight", 0.030 * (1.0 + 0.4 * lean)),
+        ("causation", 0.022 * (1.0 + 0.4 * lean)),
+        ("inclusive", 0.032 * (1.0 + 0.4 * lean)),
+        ("positive_emotion", 0.015 * (1.0 + 0.5 * lean)),
+        ("negation", 0.010 * (1.0 - 0.5 * lean)),
+        ("exclusive", 0.013 * (1.0 - 0.5 * lean)),
+    ]
+    words = []
+    for _ in range(length):
+        u = rng.random()
+        acc = 0.0
+        pool = "filler"
+        for name, p in probs:
+            acc += p
+            if u < acc:
+                pool = name
+                break
+        words.append(rng.choice(pools[pool]))
+    return " ".join(words)
+
+
+
+
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from revnet import centrality, features, svr
 from revnet.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from revnet.corpus import Corpus, Report, write_events
 from revnet.features import NETWORK_FEATURES
-from revnet.text_metrics import CATEGORIES, load_lexicon
+from revnet.text_metrics import CATEGORIES, LEXICON_DIR_ENV, load_lexicon
 
 from helpers import (BAD_PAPER_IDS, SAMPLE, WRONGLY_TYPED, minimal_paper,
                      reference_supporting_features)
@@ -70,6 +71,37 @@ def test_generate_keeps_config_seed(tmp_path):
     assert main(["generate", str(tmp_path / "c.jsonl")]) == EXIT_OK
     manifest = json.loads((tmp_path / "c.jsonl.manifest.json").read_text())
     assert manifest["seed"] == 0
+
+
+@pytest.mark.parametrize("config, fragment", [
+    ({"submission_grid_days": -7}, "submission_grid_days"),
+    ({"submission_grid_days": 0}, "submission_grid_days"),
+    ({"papers_per_year": 2.5}, "papers_per_year"),
+    ({"seeed": 3}, "'seeed'"),
+    ([{"seed": 3}], "JSON object"),
+    ({"effects": {"network": "x"}}, "effects"),
+    ({"citation_base": 800, "papers_per_year": 20, "n_years": 1}, "citation_base"),
+], ids=["negative-grid", "zero-grid", "fractional-count", "unknown-key", "list",
+        "text-effect", "overflowing-citations"])
+def test_bad_generate_config_is_usage_error_naming_the_field(tmp_path, capsys,
+                                                             config, fragment):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, _, err = run(capsys, "generate", str(tmp_path / "a.jsonl"), "--config", str(path))
+    assert code == EXIT_USAGE
+    assert fragment in err and "Traceback" not in err
+    assert not (tmp_path / "a.jsonl").exists()
+
+
+def test_generate_with_an_empty_lexicon_list_is_usage_error(tmp_path, capsys,
+                                                           monkeypatch):
+    lex_dir = tmp_path / "lexicon"
+    shutil.copytree(Path(revnet.__file__).parent / "data" / "lexicons", lex_dir)
+    (lex_dir / "cat_negation.txt").write_text("")
+    monkeypatch.setenv(LEXICON_DIR_ENV, str(lex_dir))
+    code, _, err = run(capsys, "generate", str(tmp_path / "a.jsonl"))
+    assert code == EXIT_USAGE
+    assert "'negation'" in err
 
 
 def test_validate_accepts_generated_log(workspace, capsys):

@@ -1,13 +1,21 @@
+import dataclasses
 import json
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revnet.corpus import Corpus, validate_events
 from revnet.features import supporting_features
-from revnet.synth import DEFAULT_EFFECTS, SynthConfig, generate, ground_truth
+from revnet.synth import (DEFAULT_EFFECTS, SynthConfig, _report_text, _word_pools,
+                          generate, ground_truth)
+from revnet.text_metrics import load_lexicon
 
-from helpers import spearman
+from helpers import reference_report_text, spearman
+
+POOLS = _word_pools(load_lexicon())
 
 
 def test_config_validation():
@@ -21,6 +29,93 @@ def test_config_validation():
         SynthConfig(effects={"telepathy": 1.0})
     with pytest.raises(ValueError):
         SynthConfig(round_probs_accepted=(0.5,))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("submission_grid_days", -7),
+    ("submission_grid_days", 0),
+    ("papers_per_year", 2.5),
+    ("n_years", True),
+    ("seed", "3"),
+    ("start_year", 9999),
+    ("accept_rate", float("nan")),
+    ("noise_sd", "0.3"),
+    ("effects", {"network": "x"}),
+    ("effects", {"network": float("inf")}),
+    ("effects", [1.0]),
+    ("round_probs_rejected", 0.3),
+    ("round_probs_rejected", (0.3, "0.05")),
+])
+def test_config_rejects_bad_field_naming_it(field, value):
+    with pytest.raises(ValueError, match=field):
+        SynthConfig(**{field: value})
+
+
+@pytest.mark.parametrize("raw, fragment", [
+    ([{"seed": 3}], "JSON object"),
+    ({"seed": 3, "seeed": 3}, "'seeed'"),
+])
+def test_config_file_must_be_an_object_of_known_keys(tmp_path, raw, fragment):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=fragment):
+        SynthConfig.from_file(path)
+
+
+@pytest.mark.parametrize("pool", ["negation", "positive", "filler"])
+def test_empty_word_pool_is_rejected_naming_it(pool):
+    lexicon = load_lexicon()
+    if pool == "filler":
+        # a lexicon holding every filler word leaves no neutral word
+        everything = frozenset(w for words in POOLS.values() for w in words)
+        lexicon = dataclasses.replace(lexicon, positive=everything - lexicon.negative)
+    elif pool == "positive":
+        lexicon = dataclasses.replace(lexicon, positive=frozenset())
+    else:
+        lexicon = dataclasses.replace(
+            lexicon, categories={**lexicon.categories, pool: frozenset()})
+    with pytest.raises(ValueError, match=f"'{pool}'"):
+        _word_pools(lexicon)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64), s_snt=st.floats(-5.0, 5.0),
+       length=st.integers(0, 400))
+def test_report_text_draws_as_the_linear_scan_and_choice(seed, s_snt, length):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    assert _report_text(ours, POOLS, s_snt, length) == \
+        reference_report_text(theirs, POOLS, s_snt, length)
+    assert ours.getstate() == theirs.getstate()
+
+
+class ScriptedRandom(random.Random):
+    """``random()`` returns the scripted values; ``getrandbits`` always 0.
+
+    Both are overridden, so ``choice`` keeps its ``getrandbits`` draw."""
+
+    def __init__(self, uniforms):
+        super().__init__(0)
+        self.uniforms = iter(uniforms)
+
+    def random(self):
+        return next(self.uniforms)
+
+    def getrandbits(self, k):
+        return 0
+
+
+def test_uniform_equal_to_a_running_sum_picks_the_next_pool():
+    # at s_snt = 0 each category's probability is its base weight
+    weights = [0.035, 0.035, 0.012, 0.030, 0.022, 0.032, 0.015, 0.010, 0.013]
+    sums, acc = [], 0.0
+    for w in weights:
+        acc += w
+        sums.append(acc)
+    names = ["positive", "negative", "future_tense", "insight", "causation",
+             "inclusive", "positive_emotion", "negation", "exclusive", "filler"]
+    text = _report_text(ScriptedRandom(sums), POOLS, 0.0, len(sums))
+    assert text.split() == [POOLS[name][0] for name in names[1:]]
+    assert text == reference_report_text(ScriptedRandom(sums), POOLS, 0.0, len(sums))
 
 
 def test_config_from_file(tmp_path):

@@ -88,7 +88,7 @@ _ENCODE = json.JSONEncoder(sort_keys=True).encode
 
 def write_events(events: Iterable[ReviewEvent], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines([_ENCODE(event_to_record(ev)) + "\n" for ev in events])
+        fh.writelines(_ENCODE(event_to_record(ev)) + "\n" for ev in events)
 
 
 @dataclass(frozen=True)

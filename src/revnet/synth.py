@@ -197,32 +197,21 @@ def _report_text(rng: random.Random, pools, s_snt: float, length: int) -> str:
         ("negation", 0.010 * (1.0 - 0.5 * lean)),
         ("exclusive", 0.013 * (1.0 - 0.5 * lean)),
     ]
-    # the word's pool is the first whose running sum exceeds u, else filler
+    # the word's pool is the first whose running sum exceeds u; index 9, past
+    # the last sum, is filler
     bounds = list(accumulate(p for _, p in probs))
-    top = bounds[-1]
-    draws = [(pools[name], len(pools[name]), len(pools[name]).bit_length())
-             for name, _ in probs]
-    filler = pools["filler"]
-    n_filler, k_filler = len(filler), len(filler).bit_length()
+    ordered = [pools[name] for name, _ in probs] + [pools["filler"]]
+    draws = [(pool, len(pool), len(pool).bit_length()) for pool in ordered]
     uniform, getrandbits = rng.random, rng.getrandbits
     words = []
     append = words.append
-    # each branch is rng.choice(pool) as CPython draws it,
-    # _randbelow_with_getrandbits(n); about 80% of words are filler, which
-    # skips the bisection
     for _ in range(length):
-        u = uniform()
-        if u >= top:
-            r = getrandbits(k_filler)
-            while r >= n_filler:
-                r = getrandbits(k_filler)
-            append(filler[r])
-        else:
-            pool, n, k = draws[bisect_right(bounds, u)]
+        pool, n, k = draws[bisect_right(bounds, uniform())]
+        # rng.choice(pool) as CPython draws it: _randbelow_with_getrandbits(n)
+        r = getrandbits(k)
+        while r >= n:
             r = getrandbits(k)
-            while r >= n:
-                r = getrandbits(k)
-            append(pool[r])
+        append(pool[r])
     return " ".join(words)
 
 

@@ -790,7 +790,7 @@ def reference_irregular_cases(corpus: Corpus, exposure_cutoff_year: int):
     return high_rejected, low_accepted
 
 
-# -- corpus builders ---------------------------------------------------------
+# -- reference form of the report text ---------------------------------------
 
 
 def reference_report_text(rng: random.Random, pools, s_snt: float, length: int) -> str:
@@ -822,6 +822,7 @@ def reference_report_text(rng: random.Random, pools, s_snt: float, length: int) 
     return " ".join(words)
 
 
+# -- corpus builders ---------------------------------------------------------
 
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"

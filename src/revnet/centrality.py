@@ -135,21 +135,19 @@ def clustering(graph: ReviewGraph) -> np.ndarray:
     return out
 
 
-def pagerank(graph: ReviewGraph, damping: float = PAGERANK_DAMPING,
-             tol: float = PAGERANK_TOL,
-             max_iter: int = PAGERANK_MAX_ITER) -> tuple[np.ndarray, bool]:
+def pagerank(graph: ReviewGraph) -> tuple[np.ndarray, bool]:
     """Power iteration on the undirected graph, edges treated as bidirectional.
 
     Degree-0 nodes are dangling and redistribute their mass uniformly.
-    Returns the score vector and a convergence flag (L1 change < tol).
+    Damping is ``PAGERANK_DAMPING``.  Returns the score vector and a
+    convergence flag (L1 change < ``PAGERANK_TOL`` within
+    ``PAGERANK_MAX_ITER`` steps).
 
     The edges (u, v) are listed in row-major order of ``graph.A``: ``heads``
     holds each v, and row u's weight ``contrib[u]`` repeats once per edge of
     u.  ``np.bincount`` adds each weight into bin v in that order, starting
     from 0.0, so the sums are reproducible.
     """
-    if not 0.0 < damping < 1.0:
-        raise ValueError("damping must lie in (0, 1)")
     n = graph.n
     if n == 0:
         return np.zeros(0), True
@@ -162,13 +160,14 @@ def pagerank(graph: ReviewGraph, damping: float = PAGERANK_DAMPING,
 
     pr = np.full(n, 1.0 / n)
     converged = False
-    for _ in range(max_iter):
+    for _ in range(PAGERANK_MAX_ITER):
         contrib = pr * inv_deg
         nxt = np.bincount(heads, weights=np.repeat(contrib, edges_per_row),
                           minlength=n)
         dangling_mass = pr[dangling].sum()
-        nxt = (1.0 - damping) / n + damping * (nxt + dangling_mass / n)
-        if np.abs(nxt - pr).sum() < tol:
+        nxt = ((1.0 - PAGERANK_DAMPING) / n
+               + PAGERANK_DAMPING * (nxt + dangling_mass / n))
+        if np.abs(nxt - pr).sum() < PAGERANK_TOL:
             pr = nxt
             converged = True
             break
@@ -176,13 +175,11 @@ def pagerank(graph: ReviewGraph, damping: float = PAGERANK_DAMPING,
     return pr, converged
 
 
-def compute_table(graph: ReviewGraph, damping: float = PAGERANK_DAMPING,
-                  tol: float = PAGERANK_TOL,
-                  max_iter: int = PAGERANK_MAX_ITER) -> CentralityTable:
+def compute_table(graph: ReviewGraph) -> CentralityTable:
     """All five measures over the graph's adjacency matrix (shortest-path
     work is shared)."""
     bc_raw, dist_sum, comp_size = _brandes_pass(graph.A)
-    pr, ok = pagerank(graph, damping, tol, max_iter)
+    pr, ok = pagerank(graph)
     return CentralityTable(
         nodes=graph.nodes,
         degree=degree(graph),

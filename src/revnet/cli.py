@@ -50,10 +50,7 @@ def _write_manifest(path, command: str, params: dict, inputs: list,
         "seed": seed,
         "elapsed_seconds": round(time.monotonic() - started, 3),
     }
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-    os.replace(tmp, path)
+    _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True))
 
 
 def _atomic_write(path, text: str) -> None:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import datetime as dt
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -45,52 +46,38 @@ NETWORK_FEATURES = ("Deg", "BC", "CC", "Clus", "PR")
 _NORMAL = NormalDist()
 
 
-@dataclass(frozen=True)
-class TargetValue:
-    paper_id: str
-    publication_year: int
-    citation_rank: float
-
-
 class SnapshotCache:
-    """One centrality table per distinct snapshot graph.
+    """One centrality table per distinct snapshot prefix.
 
     A cutoff's snapshot is a prefix of the corpus's date-sorted (editor,
     reviewer) pairs, so cutoffs with the same prefix length share one graph,
-    built once.  A longer prefix holds every node and edge of a shorter one,
-    so two prefixes whose graphs have as many nodes and edges have the same
-    graph, and share one table.  Only each graph's node index and table are
-    kept.
+    built once.  Only each graph's node index and table are kept.
     """
 
     def __init__(self, corpus: Corpus):
         self.corpus = corpus
         self._dates: set[dt.date] = set()
-        self._prefixes: dict[int, tuple] = {}
-        self._tables: dict[tuple[int, int], centrality.CentralityTable] = {}
+        self._tables: dict[int, tuple] = {}
 
     def table(self, cutoff: dt.date):
         """(node index, centrality table) of the snapshot at ``cutoff``."""
         self._dates.add(cutoff)
         k = pairs_before(self.corpus, cutoff)
-        hit = self._prefixes.get(k)
+        hit = self._tables.get(k)
         if hit is None:
             graph = build_graph(self.corpus, cutoff)
-            key = (graph.n, np.count_nonzero(graph.A))
-            table = self._tables.get(key)
-            if table is None:
-                table = self._tables[key] = centrality.compute_table(graph)
-            hit = self._prefixes[k] = (graph.index, table)
+            hit = self._tables[k] = (graph.index, centrality.compute_table(graph))
         return hit
 
     def stats(self) -> dict:
         """Counters over the snapshot dates and tables built so far."""
+        tables = [table for _, table in self._tables.values()]
         return {
             "snapshot_dates": len(self._dates),
-            "snapshot_tables": len(self._tables),
-            "nodes_max": max((n for n, _ in self._tables), default=0),
+            "snapshot_tables": len(tables),
+            "nodes_max": max((len(table.nodes) for table in tables), default=0),
             "pagerank_nonconverged": sum(not table.pagerank_converged
-                                         for table in self._tables.values()),
+                                         for table in tables),
         }
 
 
@@ -191,36 +178,27 @@ def feature_vector(paper_id: str, corpus: Corpus, lexicon: Lexicon,
     ])
 
 
-def citation_rank_targets(papers: list[tuple[str, int, int]]) -> list[TargetValue]:
+def citation_rank_targets(papers: list[tuple[str, int, int]]) -> list[float]:
     """Rank-based inverse-normal target, computed within publication year.
 
-    ``papers`` holds (paper_id, publication_year, cumulative_citations).
-    Within a year, papers get ascending mid-rank percentiles (ties averaged)
-    mapped through the standard-normal inverse CDF; a singleton year is 0.
+    ``papers`` holds (paper_id, publication_year, cumulative_citations); the
+    result holds one target per paper, in the same order.  Within a year,
+    papers get ascending mid-rank percentiles (ties averaged) mapped through
+    the standard-normal inverse CDF; a singleton year is 0.
     """
-    by_year: dict[int, list[tuple[str, int]]] = {}
-    for pid, year, cites in papers:
-        by_year.setdefault(year, []).append((pid, cites))
+    by_year: dict[int, list[int]] = {}
+    for _, year, cites in papers:
+        by_year.setdefault(year, []).append(cites)
+    for counts in by_year.values():
+        counts.sort()
 
     out = []
-    for year, group in sorted(by_year.items()):
-        n = len(group)
-        order = sorted(range(n), key=lambda k: group[k][1])
-        # average 1-based ranks over tie groups
-        ranks = [0.0] * n
-        i = 0
-        while i < n:
-            j = i
-            while j + 1 < n and group[order[j + 1]][1] == group[order[i]][1]:
-                j += 1
-            avg = (i + j) / 2.0 + 1.0
-            for k in range(i, j + 1):
-                ranks[order[k]] = avg
-            i = j + 1
-        for k, (pid, _) in enumerate(group):
-            p = (ranks[k] - 0.5) / n
-            z = 0.0 if n == 1 else _NORMAL.inv_cdf(p)
-            out.append(TargetValue(pid, year, z))
+    for _, year, cites in papers:
+        counts = by_year[year]
+        n = len(counts)
+        # 1-based mid-rank of the tie group holding ``cites``
+        rank = (bisect_left(counts, cites) + bisect_right(counts, cites) + 1) / 2.0
+        out.append(0.0 if n == 1 else _NORMAL.inv_cdf((rank - 0.5) / n))
     return out
 
 
@@ -260,14 +238,11 @@ def assemble_matrix(corpus: Corpus, window: tuple[int, int], lexicon: Lexicon,
     for i, (pid, _, _) in enumerate(selected):
         X[i] = feature_vector(pid, corpus, lexicon, cache)
 
-    targets = {t.paper_id: t.citation_rank
-               for t in citation_rank_targets(selected)}
-    y = np.array([targets[pid] for pid, _, _ in selected])
     return AssembledMatrix(
         paper_ids=tuple(pid for pid, _, _ in selected),
         X=X,
         missing=np.isnan(X),
-        y=y,
+        y=np.array(citation_rank_targets(selected)),
         years=tuple(year for _, year, _ in selected),
     )
 
@@ -285,10 +260,16 @@ def write_matrix_csv(matrix: AssembledMatrix, path) -> None:
             cells = ",".join(repr(float(v)) for v in matrix.X[i])
             fh.write(f"{pid},{cells},{float(matrix.y[i])!r},{matrix.years[i]}\n")
     with open(str(path) + ".missing", "w", encoding="utf-8") as fh:
-        fh.write("paper_id," + ",".join(FEATURE_NAMES) + "\n")
-        for i, pid in enumerate(matrix.paper_ids):
-            cells = ",".join("1" if m else "0" for m in matrix.missing[i])
-            fh.write(f"{pid},{cells}\n")
+        fh.writelines(line + "\n" for line in _mask_lines(matrix.paper_ids,
+                                                          matrix.missing))
+
+
+def _mask_lines(ids, missing: np.ndarray):
+    """The lines of a ``.missing`` mask file: the header, then each paper id
+    with a 1 (missing) or 0 per feature."""
+    yield "paper_id," + ",".join(FEATURE_NAMES)
+    for pid, row in zip(ids, missing):
+        yield pid + "," + ",".join("1" if m else "0" for m in row)
 
 
 def read_matrix_csv(path) -> AssembledMatrix:
@@ -329,9 +310,7 @@ def read_matrix_csv(path) -> AssembledMatrix:
 def _check_mask(path, ids: list[str], missing: np.ndarray) -> None:
     """Raise ``ValueError`` naming the first line of the mask file at ``path``
     that disagrees with the paper ids or with the NaN cells of the matrix."""
-    expected = ["paper_id," + ",".join(FEATURE_NAMES)]
-    expected += [pid + "," + ",".join("1" if m else "0" for m in row)
-                 for pid, row in zip(ids, missing)]
+    expected = list(_mask_lines(ids, missing))
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.strip() for line in fh]
     for lineno, (got, want) in enumerate(zip(lines, expected), start=1):

@@ -80,6 +80,10 @@ class SvrModel:
         if rows.shape[1] != len(self.feature_names):
             raise ValueError(
                 f"expected {len(self.feature_names)} columns, got {rows.shape[1]}")
+        inf_rows = np.flatnonzero(np.isinf(rows).any(axis=1))
+        if len(inf_rows):
+            raise ValueError(f"row {inf_rows[0]} (counting from 0) holds an infinite "
+                             f"feature value; only NaN cells are imputed")
         Z = (_fill(rows, self.impute_means) - self.scaler_mean) / self.scaler_std
         # one row at a time, with an exactly rounded sum, so that a row's
         # score does not depend on the other rows in the batch
@@ -427,6 +431,13 @@ def load_model(path) -> SvrModel:
                              f"expected ({n_feat},)")
     if not math.isfinite(bias):
         raise ValueError(f"model bias is not finite: {bias!r}")
+    for label, arr in (("support_vectors", sv), ("dual_coefs", coefs),
+                       ("scaler_mean", mean), ("impute_means", impute)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"model {label} holds a non-finite value")
+    if not (np.isfinite(std) & (std > 0.0)).all():
+        raise ValueError("model scaler_std holds an entry that is not finite "
+                         "and positive")
     return SvrModel(
         support_vectors=sv,
         dual_coefs=coefs,

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from revnet import svr
+from revnet import centrality, svr
 from revnet.analysis import (bucket_fixed_width, bucket_powers_of_two,
                              bucket_ratio_decile, irregular_cases,
                              lqi_contrast, paper_records)
@@ -63,10 +63,11 @@ def test_criterion_02_pagerank_invariants():
     """Sums to 1 +- 1e-6; uniform on cycles C3-C50 +- 1e-9; residual < tol."""
     rng = random.Random(1002)
     tol = 1e-9
+    assert centrality.PAGERANK_TOL <= tol
     for trial in range(100):
         n = rng.randrange(1, 13)
         graph = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
-        pr, converged = pagerank(graph, tol=tol)
+        pr, converged = pagerank(graph)
         assert converged
         assert abs(pr.sum() - 1.0) <= 1e-6
         # fixed-point residual: one more hand-rolled power step moves < tol
@@ -80,7 +81,7 @@ def test_criterion_02_pagerank_invariants():
         assert np.abs(step - pr).sum() < tol
     for n in range(3, 51):
         cycle = graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-        pr, converged = pagerank(cycle, tol=tol)
+        pr, converged = pagerank(cycle)
         assert converged
         assert np.allclose(pr, 1.0 / n, atol=1e-9)
     report(2, "sums, cycle uniformity, and residuals all within bounds")

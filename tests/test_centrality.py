@@ -129,14 +129,6 @@ def test_pagerank_dangling_node():
     assert np.allclose(pr, oracle_pagerank(graph), atol=1e-6)
 
 
-def test_pagerank_rejects_bad_damping():
-    graph = cycle_graph(4)
-    with pytest.raises(ValueError):
-        pagerank(graph, damping=1.0)
-    with pytest.raises(ValueError):
-        pagerank(graph, damping=0.0)
-
-
 def test_compute_table_consistent_with_individual_measures():
     graph = random_graph(random.Random(3), 10, 0.4)
     table = compute_table(graph)

@@ -346,6 +346,25 @@ def test_prediction_does_not_depend_on_the_batch(tmp_path, capsys):
     assert scores[0] == scores[1]
 
 
+def test_predict_rejects_an_infinite_feature_cell(tmp_path, capsys):
+    rng = np.random.default_rng(6)
+    train_csv = tmp_path / "train.csv"
+    write_features(train_csv, [feature_row(f"t{i}", [str(v) for v in rng.normal(size=14)],
+                                           target=str(rng.normal()))
+                               for i in range(30)])
+    model = tmp_path / "model.json"
+    assert main(["train", str(train_csv), str(model), "--folds", "3"]) == EXIT_OK
+    for cell in ("inf", "-inf"):
+        feat_csv = tmp_path / "features.csv"
+        write_features(feat_csv, [feature_row("p0", ["nan"] + ["0.5"] * 13),
+                                  feature_row("p1", ["0.5"] * 6 + [cell] + ["0.5"] * 7)])
+        code, out, err = run(capsys, "predict", str(model), str(feat_csv),
+                             str(tmp_path / "preds.csv"))
+        assert code == EXIT_USAGE, cell
+        assert "row 1 " in err and "infinite" in err and "Traceback" not in err
+        assert not (tmp_path / "preds.csv").exists()
+
+
 def test_train_rejects_nonfinite_hyperparameter(workspace, capsys):
     code, out, err = run(capsys, "train", str(workspace / "absent.csv"),
                          str(workspace / "never.json"), "--gamma", "nan")
@@ -359,6 +378,8 @@ def test_train_rejects_nonfinite_hyperparameter(workspace, capsys):
     lambda doc: doc.update(bias=math.inf),
     lambda doc: doc["impute_means"].append(0.0),
     lambda doc: doc["feature_names"].__setitem__(1, "Deg"),
+    lambda doc: doc["scaler_std"].__setitem__(0, 0.0),
+    lambda doc: doc["support_vectors"][0].__setitem__(0, math.nan),
 ])
 def test_predict_rejects_tampered_model(tmp_path, capsys, tamper):
     rng = np.random.default_rng(0)

@@ -7,7 +7,7 @@ from operator import add
 import numpy as np
 import pytest
 
-from revnet import features
+from revnet import centrality, features
 from revnet.corpus import (Assignment, CitationRecord, Corpus, Decision,
                            Report, Submission)
 from revnet.features import (CSV_HEADER, FEATURE_NAMES, NETWORK_FEATURES,
@@ -32,37 +32,32 @@ def test_feature_name_layout():
 
 
 def test_rank_target_three_distinct_papers():
-    targets = citation_rank_targets([("a", 2010, 5), ("b", 2010, 10),
+    a, b, c = citation_rank_targets([("a", 2010, 5), ("b", 2010, 10),
                                      ("c", 2010, 20)])
-    by_id = {t.paper_id: t.citation_rank for t in targets}
     # mid-rank percentiles 1/6, 1/2, 5/6 through the inverse normal CDF
-    assert by_id["a"] == pytest.approx(-0.967421566101701, abs=1e-12)
-    assert by_id["b"] == pytest.approx(0.0, abs=1e-12)
-    assert by_id["c"] == pytest.approx(0.967421566101701, abs=1e-12)
+    assert a == pytest.approx(-0.967421566101701, abs=1e-12)
+    assert b == pytest.approx(0.0, abs=1e-12)
+    assert c == pytest.approx(0.967421566101701, abs=1e-12)
 
 
 def test_rank_target_ties_share_the_average_rank():
-    targets = citation_rank_targets([("a", 2010, 5), ("b", 2010, 5),
-                                     ("c", 2010, 10), ("d", 2010, 20)])
-    by_id = {t.paper_id: t.citation_rank for t in targets}
-    assert by_id["a"] == by_id["b"] == pytest.approx(-0.6744897501960817, abs=1e-12)
-    assert by_id["c"] == pytest.approx(0.31863936396437514, abs=1e-12)
-    assert by_id["d"] == pytest.approx(1.1503493803760079, abs=1e-12)
+    a, b, c, d = citation_rank_targets([("a", 2010, 5), ("b", 2010, 5),
+                                        ("c", 2010, 10), ("d", 2010, 20)])
+    assert a == b == pytest.approx(-0.6744897501960817, abs=1e-12)
+    assert c == pytest.approx(0.31863936396437514, abs=1e-12)
+    assert d == pytest.approx(1.1503493803760079, abs=1e-12)
 
 
 def test_rank_target_is_within_year():
-    targets = citation_rank_targets([("a", 2010, 1), ("b", 2010, 100),
+    a, b, c = citation_rank_targets([("a", 2010, 1), ("b", 2010, 100),
                                      ("c", 2011, 50)])
-    by_id = {t.paper_id: t.citation_rank for t in targets}
-    assert by_id["c"] == 0.0  # singleton year
-    assert by_id["a"] < 0 < by_id["b"]
-    years = {t.paper_id: t.publication_year for t in targets}
-    assert years == {"a": 2010, "b": 2010, "c": 2011}
+    assert c == 0.0  # singleton year
+    assert a < 0 < b
 
 
 def test_rank_target_symmetry():
     targets = citation_rank_targets([(f"p{i}", 2010, i) for i in range(10)])
-    assert sum(t.citation_rank for t in targets) == pytest.approx(0.0, abs=1e-9)
+    assert sum(targets) == pytest.approx(0.0, abs=1e-9)
 
 
 # -- network features --------------------------------------------------------
@@ -149,8 +144,9 @@ def test_snapshot_cache_is_reused(monkeypatch):
                              "nodes_max": 4, "pagerank_nonconverged": 0}
 
 
-def test_snapshot_cache_shares_a_table_between_equal_graphs():
-    # e1 -> {r1, r2} first, then e2 -> {r1, r2}: a new pair, the same graph
+def test_snapshot_tables_of_equal_graphs_are_bitwise_equal():
+    # e1 -> {r1, r2} first, then e2 -> {r1, r2}: a new pair, the same graph;
+    # p3, assigned after the later cutoff, probes the features there
     events = [
         Submission("p1", D(2010, 1, 1), ("a1",), ""),
         Assignment("p1", D(2010, 1, 2), "e1", "r1", 1),
@@ -158,12 +154,24 @@ def test_snapshot_cache_shares_a_table_between_equal_graphs():
         Submission("p2", D(2010, 2, 1), ("a2",), ""),
         Assignment("p2", D(2010, 2, 2), "e2", "r1", 1),
         Assignment("p2", D(2010, 2, 2), "e2", "r2", 1),
+        Submission("p3", D(2011, 1, 1), ("a3",), ""),
+        Assignment("p3", D(2011, 1, 2), "e1", "r1", 1),
+        Assignment("p3", D(2011, 1, 2), "e1", "r2", 1),
     ]
-    cache = SnapshotCache(Corpus(events))
-    _, before = cache.table(D(2010, 2, 1))
-    _, after = cache.table(D(2011, 1, 1))
-    assert after is before
-    assert cache.stats()["snapshot_tables"] == 1
+    corpus = Corpus(events)
+    cache = SnapshotCache(corpus)
+    index_before, before = cache.table(D(2010, 2, 1))
+    index_after, after = cache.table(D(2011, 1, 1))
+    assert index_after == index_before == {"r1": 0, "r2": 1}
+    assert cache.stats()["snapshot_tables"] == 2
+    assert after.nodes == before.nodes
+    assert after.pagerank_converged and before.pagerank_converged
+    for name in centrality.MEASURES:
+        assert getattr(after, name).tobytes() == getattr(before, name).tobytes(), name
+    at_before = network_features("p2", corpus, cache)
+    at_after = network_features("p3", corpus, cache)
+    assert at_after.tobytes() == at_before.tobytes()
+    assert not np.isnan(at_after).any()
 
 
 # -- supporting features -----------------------------------------------------

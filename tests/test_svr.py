@@ -392,6 +392,13 @@ def tampered_models():
     yield "malformed", lambda doc: doc["config"].update(tol="tight")
     yield "distinct strings", lambda doc: doc["feature_names"].__setitem__(1, "a")
     yield "distinct strings", lambda doc: doc["feature_names"].__setitem__(0, ["a"])
+    yield "support_vectors", lambda doc: doc["support_vectors"][0].__setitem__(1, math.nan)
+    yield "dual_coefs", lambda doc: doc["dual_coefs"].__setitem__(0, math.inf)
+    yield "scaler_mean", lambda doc: doc["scaler_mean"].__setitem__(2, -math.inf)
+    yield "impute_means", lambda doc: doc["impute_means"].__setitem__(0, math.nan)
+    yield "scaler_std", lambda doc: doc["scaler_std"].__setitem__(3, 0.0)
+    yield "scaler_std", lambda doc: doc["scaler_std"].__setitem__(0, -1.0)
+    yield "scaler_std", lambda doc: doc["scaler_std"].__setitem__(1, math.inf)
 
 
 def test_load_model_rejects_tampered_shapes(tmp_path):

@@ -18,6 +18,7 @@ import numpy as np
 from . import centrality
 from .corpus import Corpus
 from .features import supporting_features
+from .outputs import csv_line, write_lines
 from .review_graph import build_graph
 from .text_metrics import CATEGORIES, Lexicon, category_percentages, tokenize
 
@@ -226,15 +227,6 @@ def lqi_contrast(records: Sequence[PaperRecord], corpus: Corpus, lexicon: Lexico
 # -- full bundle ------------------------------------------------------------
 
 
-def _write_csv(path, header: list[str], rows: list[list]) -> None:
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join("" if v is None else str(v) for v in row) + "\n")
-    os.replace(tmp, path)
-
-
 def run_all(corpus: Corpus, lexicon: Lexicon, out_dir,
             exposure_cutoff_year: Optional[int] = None) -> dict:
     """Write every analysis CSV under ``out_dir``; returns the manifest."""
@@ -245,8 +237,7 @@ def run_all(corpus: Corpus, lexicon: Lexicon, out_dir,
     manifest: dict[str, dict] = {}
 
     def emit(name, header, rows):
-        path = os.path.join(out_dir, f"{name}.csv")
-        _write_csv(path, header, rows)
+        write_lines(os.path.join(out_dir, f"{name}.csv"), map(csv_line, [header, *rows]))
         manifest[name] = {"file": f"{name}.csv", "columns": header}
 
     records = paper_records(corpus, lexicon)
@@ -376,8 +367,6 @@ def run_all(corpus: Corpus, lexicon: Lexicon, out_dir,
 
     manifest_doc = {"exposure_cutoff_year": exposure_cutoff_year,
                     "analyses": manifest}
-    tmp = os.path.join(out_dir, "manifest.json.tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(manifest_doc, fh, indent=2, sort_keys=True)
-    os.replace(tmp, os.path.join(out_dir, "manifest.json"))
+    write_lines(os.path.join(out_dir, "manifest.json"),
+                [json.dumps(manifest_doc, indent=2, sort_keys=True)])
     return manifest_doc

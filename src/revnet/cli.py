@@ -2,7 +2,12 @@
 
 Subcommands: validate | generate | features | train | predict | analyze.
 Every run writes a manifest JSON (command, config hash, input digests, seed,
-outputs, timings) next to its outputs; no command mutates its inputs.
+outputs, timings) next to its outputs.  Every output file is written to
+``<path>.tmp`` and renamed into place, so an interrupted run leaves the old
+file whole.  No command mutates its inputs: before anything is written, an
+output path that names an input or another output (by ``os.path.samefile``
+when both exist, so links count, else by ``os.path.realpath``) is a usage
+error.  ``analyze`` is not checked; ``analysis.run_all`` names its files.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 I/O error.
 """
@@ -20,6 +25,7 @@ from typing import Optional
 from . import analysis, features, svr, synth
 from .corpus import Corpus, CorpusError, read_log, validate_events, write_events
 from .features import FEATURE_NAMES, NETWORK_FEATURES
+from .outputs import csv_line, write_lines
 from .text_metrics import LEXICON_DIR_ENV, load_lexicon
 
 EXIT_OK = 0
@@ -50,18 +56,31 @@ def _write_manifest(path, command: str, params: dict, inputs: list,
         "seed": seed,
         "elapsed_seconds": round(time.monotonic() - started, 3),
     }
-    _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True))
+    write_lines(path, [json.dumps(doc, indent=2, sort_keys=True)])
 
 
-def _atomic_write(path, text: str) -> None:
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+def _same_file(a, b) -> bool:
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _check_outputs(inputs: list, outputs: list) -> None:
+    """Raise ``ValueError`` when an output path names an input or an earlier
+    output; ``None`` entries (options not given) are skipped."""
+    named = [("input", p) for p in inputs if p is not None]
+    for out in outputs:
+        if out is None:
+            continue
+        for kind, other in named:
+            if _same_file(out, other):
+                raise ValueError(f"output {out} is the same file as {kind} {other}")
+        named.append(("output", out))
 
 
 def cmd_validate(args) -> int:
     started = time.monotonic()
+    _check_outputs([args.log], [args.manifest])
     events, errors = read_log(args.log)
     errors = errors + validate_events(events)
     for err in errors:
@@ -75,6 +94,7 @@ def cmd_validate(args) -> int:
 
 def cmd_generate(args) -> int:
     started = time.monotonic()
+    _check_outputs([args.config], [args.out, str(args.out) + ".manifest.json"])
     config = synth.SynthConfig.from_file(args.config) if args.config \
         else synth.SynthConfig(seed=0)
     if args.seed is not None:
@@ -91,6 +111,9 @@ def cmd_generate(args) -> int:
 
 def cmd_features(args) -> int:
     started = time.monotonic()
+    out_csv = os.path.join(args.out_dir, "features.csv")
+    out_manifest = os.path.join(args.out_dir, "features.manifest.json")
+    _check_outputs([args.log], [out_csv, out_csv + ".missing", out_manifest])
     corpus = Corpus.from_file(args.log)
     lexicon = load_lexicon(args.lexicon_dir)
     window = (args.year_from, args.year_to)
@@ -104,10 +127,9 @@ def cmd_features(args) -> int:
         print(f"warning: PageRank did not converge on {stats['pagerank_nonconverged']} "
               f"of {stats['snapshot_tables']} snapshot graphs", file=sys.stderr)
     os.makedirs(args.out_dir, exist_ok=True)
-    out_csv = os.path.join(args.out_dir, "features.csv")
     features.write_matrix_csv(matrix, out_csv)
     print(f"{len(matrix.paper_ids)} rows x {len(FEATURE_NAMES)} features -> {out_csv}")
-    _write_manifest(os.path.join(args.out_dir, "features.manifest.json"), "features",
+    _write_manifest(out_manifest, "features",
                     {"log": str(args.log), "window": list(window)},
                     [args.log], [out_csv, out_csv + ".missing"], None, started,
                     {"centrality": stats})
@@ -123,6 +145,8 @@ def _columns(matrix: features.AssembledMatrix, names):
 
 def cmd_train(args) -> int:
     started = time.monotonic()
+    _check_outputs([args.features, str(args.features) + ".missing"],
+                   [args.model_out, args.report_out, str(args.model_out) + ".manifest.json"])
     config = svr.SvrConfig(C=args.C, gamma=args.gamma, epsilon=args.epsilon,
                            seed=args.seed)
     matrix = features.read_matrix_csv(args.features)
@@ -149,7 +173,7 @@ def cmd_train(args) -> int:
             "f_stats": report.f_stats, "features": list(names),
             "config": config.__dict__, "fits": fits,
         }
-        _atomic_write(args.report_out, json.dumps(doc, indent=2, sort_keys=True))
+        write_lines(args.report_out, [json.dumps(doc, indent=2, sort_keys=True)])
     _write_manifest(str(args.model_out) + ".manifest.json", "train",
                     {"features": str(args.features), "C": args.C,
                      "gamma": args.gamma, "epsilon": args.epsilon,
@@ -162,12 +186,13 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     started = time.monotonic()
+    _check_outputs([args.model, args.features, str(args.features) + ".missing"],
+                   [args.out, str(args.out) + ".manifest.json"])
     model = svr.load_model(args.model)
     matrix = features.read_matrix_csv(args.features)
     preds = model.predict(_columns(matrix, model.feature_names))
-    lines = ["paper_id,prediction"]
-    lines += [f"{pid},{float(p)!r}" for pid, p in zip(matrix.paper_ids, preds)]
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    write_lines(args.out, map(csv_line, [("paper_id", "prediction"),
+                                         *zip(matrix.paper_ids, preds.tolist())]))
     print(f"wrote {len(preds)} predictions to {args.out}")
     _write_manifest(str(args.out) + ".manifest.json", "predict",
                     {"model": str(args.model), "features": str(args.features)},

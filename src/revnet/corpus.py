@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import Iterable, Optional, Union
 
+from .outputs import write_lines
+
 TERMINAL_OUTCOMES = ("accept", "reject", "withdraw")
 RECOMMENDATIONS = ("accept", "reject", "revise")
 
@@ -87,8 +89,7 @@ _ENCODE = json.JSONEncoder(sort_keys=True).encode
 
 
 def write_events(events: Iterable[ReviewEvent], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_ENCODE(event_to_record(ev)) + "\n" for ev in events)
+    write_lines(path, (_ENCODE(event_to_record(ev)) + "\n" for ev in events))
 
 
 @dataclass(frozen=True)

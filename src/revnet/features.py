@@ -36,6 +36,7 @@ import numpy as np
 
 from . import centrality
 from .corpus import Corpus
+from .outputs import csv_line, write_lines
 from .review_graph import build_graph, pairs_before
 from .text_metrics import Lexicon, sentiment_score, tokenize
 
@@ -254,14 +255,11 @@ CSV_HEADER = "paper_id," + ",".join(FEATURE_NAMES) + ",target,year"
 
 def write_matrix_csv(matrix: AssembledMatrix, path) -> None:
     """Write the matrix plus a parallel ``<path>.missing`` mask file."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for i, pid in enumerate(matrix.paper_ids):
-            cells = ",".join(repr(float(v)) for v in matrix.X[i])
-            fh.write(f"{pid},{cells},{float(matrix.y[i])!r},{matrix.years[i]}\n")
-    with open(str(path) + ".missing", "w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for line in _mask_lines(matrix.paper_ids,
-                                                          matrix.missing))
+    rows = zip(matrix.paper_ids, matrix.X.tolist(), matrix.y.tolist(), matrix.years)
+    write_lines(path, [CSV_HEADER + "\n"]
+                + [csv_line([pid, *x, y, year]) for pid, x, y, year in rows])
+    write_lines(str(path) + ".missing",
+                (line + "\n" for line in _mask_lines(matrix.paper_ids, matrix.missing)))
 
 
 def _mask_lines(ids, missing: np.ndarray):

@@ -24,6 +24,8 @@ from typing import Optional
 
 import numpy as np
 
+from .outputs import write_lines
+
 MODEL_FORMAT_VERSION = 2
 
 
@@ -387,8 +389,7 @@ def save_model(model: SvrModel, path) -> None:
         "dual_coefs": model.dual_coefs.tolist(),
         "bias": model.bias,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    write_lines(path, [json.dumps(doc)])
 
 
 def load_model(path) -> SvrModel:

@@ -490,3 +490,46 @@ def test_undecodable_byte_fails_validation_naming_the_line(tmp_path, capsys, com
     code, _, err = run(capsys, argv[0], str(log), *argv[1:])
     assert code == EXIT_VALIDATION, err
     assert "line 4: not valid UTF-8" in err and "Traceback" not in err
+
+
+@pytest.fixture
+def inputs_dir(tmp_path, monkeypatch):
+    """A config, a log (also as ``d/features.csv``), a feature CSV with a hard
+    link to it, and a model trained on it; the test runs inside the folder."""
+    (tmp_path / "c.json").write_text(json.dumps({"seed": 2, "papers_per_year": 10,
+                                                 "n_years": 2}))
+    small_log(tmp_path / "log.jsonl")
+    (tmp_path / "d").mkdir()
+    shutil.copy(tmp_path / "log.jsonl", tmp_path / "d" / "features.csv")
+    rng = np.random.default_rng(8)
+    write_features(tmp_path / "f.csv",
+                   [feature_row(f"t{i}", [str(v) for v in rng.normal(size=14)],
+                                target=str(rng.normal())) for i in range(30)])
+    os.link(tmp_path / "f.csv", tmp_path / "f_link.csv")
+    assert main(["train", str(tmp_path / "f.csv"), str(tmp_path / "m.json"),
+                 "--folds", "3"]) == EXIT_OK
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "m.json", "f.csv", "f.csv"],
+    ["predict", "m.json", "f.csv", "f_link.csv"],
+    ["validate", "log.jsonl", "--manifest", "log.jsonl"],
+    ["train", "f.csv", "m.json", "--folds", "3", "--report-out", "m.json"],
+    ["train", "f.csv", "new.json", "--folds", "3", "--report-out", "new.json"],
+    ["generate", "c.json", "--config", "c.json"],
+    ["features", "d/features.csv", "d", "--year-from", "2010", "--year-to", "2010"],
+], ids=["predict-over-features", "predict-over-hard-link", "validate-manifest-over-log",
+        "train-report-over-model", "train-report-over-new-model", "generate-over-config",
+        "features-over-log"])
+def test_output_naming_an_input_or_another_output_is_usage_error(inputs_dir, capsys,
+                                                                 argv):
+    def files():
+        return {p: p.read_bytes() for p in sorted(inputs_dir.rglob("*")) if p.is_file()}
+
+    before = files()
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert "is the same file as" in err and "Traceback" not in err
+    assert files() == before  # nothing written, no input touched

@@ -161,6 +161,21 @@ def test_round_trip_write_then_parse(tmp_path):
         event_to_record(SAMPLE[0])
 
 
+
+def test_interrupted_write_keeps_the_old_log(tmp_path):
+    events, _ = parse_events(lines_of(SAMPLE))
+    path = tmp_path / "log.jsonl"
+    write_events(events, path)
+    before = path.read_bytes()
+
+    def two_then_fail():
+        yield from events[:2]
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError, match="interrupted"):
+        write_events(two_then_fail(), path)
+    assert path.read_bytes() == before
+
 def test_paper_ordering_and_lookups():
     events = (minimal_paper("pB", D(2010, 3, 1), citations=4, outcome="accept")
               + minimal_paper("pA", D(2010, 3, 1), outcome="reject")

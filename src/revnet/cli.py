@@ -5,9 +5,10 @@ Every run writes a manifest JSON (command, config hash, input digests, seed,
 outputs, timings) next to its outputs.  Every output file is written to
 ``<path>.tmp`` and renamed into place, so an interrupted run leaves the old
 file whole.  No command mutates its inputs: before anything is written, an
-output path that names an input or another output (by ``os.path.samefile``
-when both exist, so links count, else by ``os.path.realpath``) is a usage
-error.  ``analyze`` is not checked; ``analysis.run_all`` names its files.
+output path, or its ``.tmp``, that names an input or another output (by
+``os.path.samefile`` when both exist, so links count, else by
+``os.path.realpath``) is a usage error.  ``analyze`` is not checked:
+``analysis.run_all`` names its files.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 I/O error.
 """
@@ -66,15 +67,17 @@ def _same_file(a, b) -> bool:
 
 
 def _check_outputs(inputs: list, outputs: list) -> None:
-    """Raise ``ValueError`` when an output path names an input or an earlier
-    output; ``None`` entries (options not given) are skipped."""
+    """Raise ``ValueError`` when an output path, or the ``<path>.tmp`` it is
+    written through, names an input or an earlier output; ``None`` entries
+    (options not given) are skipped."""
     named = [("input", p) for p in inputs if p is not None]
     for out in outputs:
         if out is None:
             continue
         for kind, other in named:
-            if _same_file(out, other):
-                raise ValueError(f"output {out} is the same file as {kind} {other}")
+            for path in (str(out), str(out) + ".tmp"):
+                if _same_file(path, other):
+                    raise ValueError(f"output {path} is the same file as {kind} {other}")
         named.append(("output", out))
 
 

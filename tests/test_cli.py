@@ -496,7 +496,7 @@ def test_undecodable_byte_fails_validation_naming_the_line(tmp_path, capsys, com
 def inputs_dir(tmp_path, monkeypatch):
     """A config, a log (also as ``d/features.csv``), a feature CSV with a hard
     link to it, and a model trained on it; the test runs inside the folder."""
-    (tmp_path / "c.json").write_text(json.dumps({"seed": 2, "papers_per_year": 10,
+    (tmp_path / "c.tmp").write_text(json.dumps({"seed": 2, "papers_per_year": 10,
                                                  "n_years": 2}))
     small_log(tmp_path / "log.jsonl")
     (tmp_path / "d").mkdir()
@@ -518,11 +518,12 @@ def inputs_dir(tmp_path, monkeypatch):
     ["validate", "log.jsonl", "--manifest", "log.jsonl"],
     ["train", "f.csv", "m.json", "--folds", "3", "--report-out", "m.json"],
     ["train", "f.csv", "new.json", "--folds", "3", "--report-out", "new.json"],
-    ["generate", "c.json", "--config", "c.json"],
+    ["generate", "c.tmp", "--config", "c.tmp"],
+    ["generate", "c", "--config", "c.tmp"],
     ["features", "d/features.csv", "d", "--year-from", "2010", "--year-to", "2010"],
 ], ids=["predict-over-features", "predict-over-hard-link", "validate-manifest-over-log",
         "train-report-over-model", "train-report-over-new-model", "generate-over-config",
-        "features-over-log"])
+        "generate-temp-file-over-config", "features-over-log"])
 def test_output_naming_an_input_or_another_output_is_usage_error(inputs_dir, capsys,
                                                                  argv):
     def files():

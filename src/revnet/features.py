@@ -28,6 +28,7 @@ import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 from operator import add
 from statistics import NormalDist
 from typing import Optional
@@ -255,9 +256,9 @@ CSV_HEADER = "paper_id," + ",".join(FEATURE_NAMES) + ",target,year"
 
 def write_matrix_csv(matrix: AssembledMatrix, path) -> None:
     """Write the matrix plus a parallel ``<path>.missing`` mask file."""
-    rows = zip(matrix.paper_ids, matrix.X.tolist(), matrix.y.tolist(), matrix.years)
-    write_lines(path, [CSV_HEADER + "\n"]
-                + [csv_line([pid, *x, y, year]) for pid, x, y, year in rows])
+    rows = zip(matrix.paper_ids, matrix.X, matrix.y.tolist(), matrix.years)
+    write_lines(path, chain([CSV_HEADER + "\n"], (csv_line([pid, *x.tolist(), y, year])
+                                                  for pid, x, y, year in rows)))
     write_lines(str(path) + ".missing",
                 (line + "\n" for line in _mask_lines(matrix.paper_ids, matrix.missing)))
 

@@ -494,8 +494,9 @@ def test_undecodable_byte_fails_validation_naming_the_line(tmp_path, capsys, com
 
 @pytest.fixture
 def inputs_dir(tmp_path, monkeypatch):
-    """A config, a log (also as ``d/features.csv``), a feature CSV with a hard
-    link to it, and a model trained on it; the test runs inside the folder."""
+    """A config named ``c.tmp`` (the temp file of an output ``c``), a log (also
+    as ``d/features.csv``), a feature CSV with a hard link to it, and a model
+    trained on it; the test runs inside the folder."""
     (tmp_path / "c.tmp").write_text(json.dumps({"seed": 2, "papers_per_year": 10,
                                                  "n_years": 2}))
     small_log(tmp_path / "log.jsonl")

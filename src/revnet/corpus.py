@@ -301,9 +301,9 @@ def _walk(events: list[ReviewEvent]):
                 pos, f"{type(ev).__name__.lower()} for paper {ev.paper_id} dated "
                      f"{ev.date} after its terminal decision on {dec.date}"))
 
+    # distinct rounds, each at least 1, are 1..n exactly when the largest is n
     for pid, seen in sorted(rounds.items()):
-        expected = set(range(1, max(seen) + 1))
-        if seen != expected:
+        if max(seen) != len(seen):
             errors.append(LogError(
                 0, f"paper {pid}: rounds {sorted(seen)} are not contiguous from 1"))
     return errors, submissions, assignments, reports, decisions, citations

@@ -539,8 +539,7 @@ def reference_validate_events(events):
                      f"{ev.date} after its terminal decision on {dec.date}"))
 
     for pid, seen in sorted(rounds.items()):
-        expected = set(range(1, max(seen) + 1))
-        if seen != expected:
+        if sorted(seen) != list(range(1, len(seen) + 1)):
             errors.append(LogError(
                 0, f"paper {pid}: rounds {sorted(seen)} are not contiguous from 1"))
     return errors

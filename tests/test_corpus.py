@@ -1,5 +1,6 @@
 import datetime as dt
 import json
+import tracemalloc
 
 import pytest
 
@@ -114,6 +115,20 @@ def test_validate_rounds_must_be_contiguous():
     events, _ = parse_events(lines_of([SAMPLE[0], skipping]))
     errors = validate_events(events)
     assert len(errors) == 1 and "not contiguous" in errors[0].message
+
+
+def test_round_check_memory_does_not_grow_with_the_round_number():
+    # a huge round is one value, not a range of expected rounds to build
+    events, _ = parse_events(lines_of([SAMPLE[0], dict(SAMPLE[1], round=10**6)]))
+    tracemalloc.start()
+    try:
+        errors = validate_events(events)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [e.message for e in errors] == \
+        ["paper p1: rounds [1000000] are not contiguous from 1"]
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("index, date, fragment", [

@@ -130,14 +130,21 @@ def _string(record: dict, key: str) -> str:
     return raw
 
 
+# the integers every JSON reader holds exactly (RFC 8259, section 6)
+MAX_INTEGER = 2**53 - 1
+
+
 def _integer(record: dict, key: str, least: Optional[int], kind: str) -> int:
-    """An integral JSON number (``2.0`` reads as 2), never a bool, and at
-    least ``least`` when that is given; ``kind`` names the rule in errors."""
+    """An integral JSON number (``2.0`` reads as 2), never a bool, at least
+    ``least`` when that is given, and within +/-``MAX_INTEGER``; ``kind``
+    names the rule in errors."""
     raw = record[key]
     if type(raw) is float and raw.is_integer():
         raw = int(raw)
     if type(raw) is not int or (least is not None and raw < least):
         raise ValueError(f"{key} must be {kind}, got {raw!r}")
+    if not -MAX_INTEGER <= raw <= MAX_INTEGER:
+        raise ValueError(f"{key} must be at most 2**53 - 1 in magnitude, got {raw!r}")
     return raw
 
 

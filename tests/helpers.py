@@ -419,6 +419,8 @@ def _reference_require_int(record: dict, key: str, least, kind: str) -> int:
         raw = int(raw)
     if type(raw) is not int or (least is not None and raw < least):
         raise ValueError(f"{key} must be {kind}, got {raw!r}")
+    if abs(raw) >= 9007199254740992:
+        raise ValueError(f"{key} must be at most 2**53 - 1 in magnitude, got {raw!r}")
     return raw
 
 
@@ -851,7 +853,7 @@ SAMPLE = [
 ]
 
 
-# (SAMPLE index, field, wrongly typed value, expected message fragment)
+# (SAMPLE index, field, wrongly typed or out-of-range value, expected message fragment)
 WRONGLY_TYPED = [
     (4, "cumulative_citations", 2.7, "cumulative_citations must be a non-negative integer"),
     (4, "cumulative_citations", True, "cumulative_citations must be a non-negative integer"),
@@ -859,6 +861,13 @@ WRONGLY_TYPED = [
     (4, "as_of_year", True, "as_of_year must be an integer"),
     (4, "as_of_year", 2013.5, "as_of_year must be an integer"),
     (4, "as_of_year", None, "as_of_year must be an integer"),
+    (1, "round", 2**53, "round must be at most 2**53 - 1 in magnitude"),
+    (2, "round", 2.0**53, "round must be at most 2**53 - 1 in magnitude"),
+    (3, "round", 10**309, "round must be at most 2**53 - 1 in magnitude"),
+    (4, "cumulative_citations", 2**53, "cumulative_citations must be at most 2**53 - 1"),
+    (4, "cumulative_citations", 1e300, "cumulative_citations must be at most 2**53 - 1"),
+    (4, "as_of_year", 2**53, "as_of_year must be at most 2**53 - 1 in magnitude"),
+    (4, "as_of_year", -2**53, "as_of_year must be at most 2**53 - 1 in magnitude"),
     (2, "text", None, "text must be a string"),
     (2, "recommendation", None, "recommendation must be a string"),
     (3, "outcome", None, "outcome must be a string"),

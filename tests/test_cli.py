@@ -137,6 +137,37 @@ def test_wrongly_typed_field_fails_validation_naming_the_line(
     assert f"line {index + 1}: {fragment}" in err
 
 
+@pytest.mark.parametrize("index, field, largest", [
+    (1, "round", 2**53 - 1), (4, "cumulative_citations", 2**53 - 1),
+    (4, "as_of_year", 2**53 - 1), (4, "as_of_year", -(2**53 - 1))])
+def test_log_integers_are_read_up_to_2_to_the_53_minus_1(tmp_path, capsys, index,
+                                                         field, largest):
+    log = tmp_path / "big.jsonl"
+    for value, bad in [(largest, False), (largest + (1 if largest > 0 else -1), True)]:
+        records = [dict(r) for r in SAMPLE]
+        records[index][field] = value
+        log.write_text("".join(json.dumps(r) + "\n" for r in records))
+        code, out, err = run(capsys, "validate", str(log))
+        named = f"line {index + 1}: {field} must be at most 2**53 - 1 in magnitude"
+        assert (named in err) == bad and "Traceback" not in err
+        # a round that large is read, and then is not contiguous from 1
+        assert code == (EXIT_VALIDATION if bad or field == "round" else EXIT_OK)
+
+
+def test_analyze_names_the_line_of_a_citation_count_past_the_bound(tmp_path, capsys):
+    log = tmp_path / "events.jsonl"
+    small_log(log)
+    lines = log.read_text().splitlines(keepends=True)
+    assert '"cumulative_citations": 5' in lines[9]
+    lines[9] = lines[9].replace('"cumulative_citations": 5',
+                                f'"cumulative_citations": {10**309}')
+    log.write_text("".join(lines))
+    code, _, err = run(capsys, "analyze", str(log), str(tmp_path / "out"))
+    assert code == EXIT_VALIDATION
+    assert "line 10: cumulative_citations must be at most 2**53 - 1" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("date", ["20100105", "2010-W01-1"])
 def test_date_other_than_year_month_day_fails_validation_naming_the_line(
         tmp_path, capsys, date):

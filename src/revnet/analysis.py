@@ -22,6 +22,17 @@ from .outputs import csv_line, write_lines
 from .review_graph import build_graph
 from .text_metrics import CATEGORIES, Lexicon, category_percentages, tokenize
 
+# the analyses ``run_all`` writes, one CSV each, in order; with its manifest
+# these name every file it writes, so a caller can check them beforehand
+ANALYSES = ("summary", "citation_buckets", "reviews_by_citation_bucket",
+            "top20_citation_by_rounds", "team_size_citation",
+            "report_length_citation", "author_productivity_citation",
+            "time_since_assignment_citation", "report_delay_citation",
+            "author_acceptance_ratio_buckets", "reviewer_accept_ratio_buckets",
+            "sentiment_by_year", "centrality_quartile_contrast", "lqi_contrast",
+            "irregular_high_cited_rejected", "irregular_low_cited_accepted")
+OUTPUT_FILES = tuple(f"{name}.csv" for name in ANALYSES) + ("manifest.json",)
+
 HIGH_CITED_REJECTED_MIN = 20  # twice the rejected papers' average citation
 LOW_CITED_ACCEPTED_MAX = 10  # exclusive upper bound
 
@@ -229,7 +240,8 @@ def lqi_contrast(records: Sequence[PaperRecord], corpus: Corpus, lexicon: Lexico
 
 def run_all(corpus: Corpus, lexicon: Lexicon, out_dir,
             exposure_cutoff_year: Optional[int] = None) -> dict:
-    """Write every analysis CSV under ``out_dir``; returns the manifest."""
+    """Write every analysis CSV under ``out_dir``, the files of
+    ``OUTPUT_FILES``; returns the manifest."""
     os.makedirs(out_dir, exist_ok=True)
     if exposure_cutoff_year is None:
         years = [rec.as_of_year for rec in corpus.citation_records.values()]

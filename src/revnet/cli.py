@@ -7,8 +7,7 @@ outputs, timings) next to its outputs.  Every output file is written to
 file whole.  No command mutates its inputs: before anything is written, an
 output path, or its ``.tmp``, that names an input or another output (by
 ``os.path.samefile`` when both exist, so links count, else by
-``os.path.realpath``) is a usage error.  ``analyze`` is not checked:
-``analysis.run_all`` names its files.
+``os.path.realpath``) is a usage error.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 I/O error.
 """
@@ -205,6 +204,9 @@ def cmd_predict(args) -> int:
 
 def cmd_analyze(args) -> int:
     started = time.monotonic()
+    out_manifest = os.path.join(args.out_dir, "run.manifest.json")
+    _check_outputs([args.log], [os.path.join(args.out_dir, name)
+                                for name in analysis.OUTPUT_FILES] + [out_manifest])
     corpus = Corpus.from_file(args.log)
     lexicon = load_lexicon(args.lexicon_dir)
     manifest = analysis.run_all(corpus, lexicon, args.out_dir,
@@ -212,7 +214,7 @@ def cmd_analyze(args) -> int:
     outputs = [os.path.join(args.out_dir, entry["file"])
                for entry in manifest["analyses"].values()]
     print(f"wrote {len(outputs)} analyses to {args.out_dir}")
-    _write_manifest(os.path.join(args.out_dir, "run.manifest.json"), "analyze",
+    _write_manifest(out_manifest, "analyze",
                     {"log": str(args.log),
                      "exposure_cutoff": manifest["exposure_cutoff_year"]},
                     [args.log], outputs, None, started)

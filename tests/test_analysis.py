@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from revnet.analysis import (HIGH_CITED_REJECTED_MIN, LOW_CITED_ACCEPTED_MAX,
+from revnet.analysis import (ANALYSES, HIGH_CITED_REJECTED_MIN,
+                             LOW_CITED_ACCEPTED_MAX, OUTPUT_FILES,
                              bucket_fixed_width, bucket_mean,
                              bucket_powers_of_two, bucket_ratio_decile,
                              empirical_cdf, irregular_cases, lqi_contrast,
@@ -224,6 +225,9 @@ def test_run_all_writes_manifest_and_files(tmp_path, lexicon):
                 "centrality_quartile_contrast", "lqi_contrast",
                 "irregular_high_cited_rejected", "irregular_low_cited_accepted"}
     assert set(manifest["analyses"]) == expected
+    # the names the CLI checks before the run are the files the run wrote
+    assert tuple(manifest["analyses"]) == ANALYSES
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(OUTPUT_FILES)
 
 
 def test_run_all_is_deterministic(tmp_path, lexicon):

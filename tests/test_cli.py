@@ -526,13 +526,14 @@ def test_undecodable_byte_fails_validation_naming_the_line(tmp_path, capsys, com
 @pytest.fixture
 def inputs_dir(tmp_path, monkeypatch):
     """A config named ``c.tmp`` (the temp file of an output ``c``), a log (also
-    as ``d/features.csv``), a feature CSV with a hard link to it, and a model
-    trained on it; the test runs inside the folder."""
+    as ``d/features.csv`` and ``d/summary.csv``), a feature CSV with a hard
+    link to it, and a model trained on it; the test runs inside the folder."""
     (tmp_path / "c.tmp").write_text(json.dumps({"seed": 2, "papers_per_year": 10,
                                                  "n_years": 2}))
     small_log(tmp_path / "log.jsonl")
     (tmp_path / "d").mkdir()
     shutil.copy(tmp_path / "log.jsonl", tmp_path / "d" / "features.csv")
+    shutil.copy(tmp_path / "log.jsonl", tmp_path / "d" / "summary.csv")
     rng = np.random.default_rng(8)
     write_features(tmp_path / "f.csv",
                    [feature_row(f"t{i}", [str(v) for v in rng.normal(size=14)],
@@ -553,9 +554,10 @@ def inputs_dir(tmp_path, monkeypatch):
     ["generate", "c.tmp", "--config", "c.tmp"],
     ["generate", "c", "--config", "c.tmp"],
     ["features", "d/features.csv", "d", "--year-from", "2010", "--year-to", "2010"],
+    ["analyze", "d/summary.csv", "d"],
 ], ids=["predict-over-features", "predict-over-hard-link", "validate-manifest-over-log",
         "train-report-over-model", "train-report-over-new-model", "generate-over-config",
-        "generate-temp-file-over-config", "features-over-log"])
+        "generate-temp-file-over-config", "features-over-log", "analyze-over-log"])
 def test_output_naming_an_input_or_another_output_is_usage_error(inputs_dir, capsys,
                                                                  argv):
     def files():

@@ -237,7 +237,9 @@ def fit(X: np.ndarray, y: np.ndarray, config: SvrConfig,
     ``X`` needs at least 2 rows and no infinite cell, and ``feature_names``
     (default ``x0``, ``x1``, ...) one distinct name per column.  NaN cells are
     filled with their column's mean (0 for an all-NaN column), kept as the
-    model's ``impute_means`` for the rows it predicts.
+    model's ``impute_means`` for the rows it predicts.  A column whose mean or
+    standard deviation overflows (cells near 1e308, or spread past about
+    1e154) is rejected by name.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -253,8 +255,15 @@ def fit(X: np.ndarray, y: np.ndarray, config: SvrConfig,
 
     impute = _column_means(X)
     X = _fill(X, impute)
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=0)
+        std = X.std(axis=0)
+    overflowed = [name for name, m, sd in zip(feature_names, mean, std)
+                  if not (math.isfinite(m) and math.isfinite(sd))]
+    if overflowed:
+        raise ValueError(f"feature(s) {overflowed} have a mean or standard "
+                         f"deviation that is not finite, so they cannot be "
+                         f"standardized")
     degenerate = std < 1e-12
     if degenerate.any():
         warnings.warn("zero-variance column(s) scaled with std=1", RuntimeWarning)

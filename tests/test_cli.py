@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -313,6 +314,23 @@ def test_train_rejects_infinite_cell_before_fitting(tmp_path, capsys, monkeypatc
     code, out, err = run(capsys, "train", str(feat_csv), str(tmp_path / "model.json"),
                          "--folds", "3")
     assert code == EXIT_USAGE and "finite" in err
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_train_names_a_column_it_cannot_standardize(tmp_path, capsys):
+    rng = np.random.default_rng(2)
+    cells = [[str(v) for v in rng.normal(size=14)] for _ in range(12)]
+    cells[4][0], cells[9][0] = "1e308", "-1e308"  # Deg
+    rows = [feature_row(f"p{i}", row, target=str(rng.normal()))
+            for i, row in enumerate(cells)]
+    feat_csv = tmp_path / "features.csv"
+    write_features(feat_csv, rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "train", str(feat_csv),
+                             str(tmp_path / "model.json"), "--folds", "3")
+    assert code == EXIT_USAGE
+    assert "['Deg'] have a mean or standard deviation that is not finite" in err
     assert not (tmp_path / "model.json").exists()
 
 

@@ -1,14 +1,15 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from helpers import (reference_impute, reference_kkt_max_violation,
                      reference_solve_smo)
-from revnet.svr import (EvalReport, SvrConfig, _rbf, _solve_smo, cross_validate,
-                        f_statistic, fit, load_model, save_model)
+from revnet.svr import (EvalReport, SvrConfig, _r2, _rbf, _solve_smo,
+                        cross_validate, f_statistic, fit, load_model, save_model)
 
 
 def random_problem(seed, n=60, d=4, noise=0.1):
@@ -251,6 +252,26 @@ def test_fit_and_cross_validate_reject_infinite_inputs():
             fit(*args, SvrConfig())
         with pytest.raises(ValueError, match="finite"):
             cross_validate(*args, SvrConfig(), k=5)
+
+
+def test_fit_names_a_column_it_cannot_standardize_without_warning_first():
+    X, y = random_problem(4, n=20, d=3)
+    huge = X.copy()
+    huge[2, 1], huge[7, 1] = 1e308, -1e308  # the mean's sum overflows
+    wide = X.copy()
+    wide[:, 2] *= 1e160  # finite mean, the squares of the spread overflow
+    for bad, name in ((huge, "b"), (wide, "c")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"\['{name}'\] have a mean or standard"):
+                fit(bad, y, SvrConfig(), ("a", "b", "c"))
+
+
+def test_r2_of_constant_targets():
+    y = np.full(4, 0.5)
+    assert _r2(y, y.copy()) == 1.0  # SST = SSE = 0: every target predicted
+    assert _r2(y, np.array([0.5, 0.5, 0.5, 0.6])) == 0.0  # SST = 0 < SSE
+    assert _r2(np.array([0.0, 2.0]), np.array([1.0, 1.0])) == 0.0  # 1 - SSE/SST
 
 
 def test_zero_variance_column_warns_not_crashes():

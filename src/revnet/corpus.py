@@ -17,7 +17,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .outputs import write_lines
 
@@ -25,16 +25,17 @@ TERMINAL_OUTCOMES = ("accept", "reject", "withdraw")
 RECOMMENDATIONS = ("accept", "reject", "revise")
 
 
-@dataclass(frozen=True)
-class Submission:
+# Events are named tuples: immutable, one ``tuple.__new__`` per event and no
+# per-instance ``__dict__``.  An event equals a plain tuple of the same
+# values; events of two kinds never compare equal, as their field types differ.
+class Submission(NamedTuple):
     paper_id: str
     date: dt.date
     author_ids: tuple[str, ...]
     title: str
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     paper_id: str
     date: dt.date
     editor_id: str
@@ -42,8 +43,7 @@ class Assignment:
     round: int
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     paper_id: str
     date: dt.date
     reviewer_id: str
@@ -52,16 +52,14 @@ class Report:
     recommendation: str
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     paper_id: str
     date: dt.date
     outcome: str
     round: int
 
 
-@dataclass(frozen=True)
-class CitationRecord:
+class CitationRecord(NamedTuple):
     paper_id: str
     date: dt.date
     cumulative_citations: int
@@ -81,7 +79,7 @@ def event_to_record(ev: ReviewEvent) -> dict:
     kind = _TYPE_NAMES.get(type(ev))
     if kind is None:
         raise TypeError(f"not a review event: {ev!r}")
-    return {**vars(ev), "type": kind, "date": ev.date.isoformat()}
+    return {**ev._asdict(), "type": kind, "date": ev.date.isoformat()}
 
 
 # the bytes of json.dumps(record, sort_keys=True), without a new encoder per call
@@ -200,10 +198,12 @@ def parse_events(lines: Iterable[str]) -> tuple[list[ReviewEvent], list[LogError
 
     Returns the well-formed events plus per-line diagnostics for every
     ill-formed line, one not encodable as UTF-8 included; parsing never
-    raises on bad input lines.
+    raises on bad input lines.  Each distinct date string is checked and
+    built once, and its events share the one ``dt.date``.
     """
     events: list[ReviewEvent] = []
     errors: list[LogError] = []
+    dates: dict[str, dt.date] = {}
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -225,7 +225,12 @@ def parse_events(lines: Iterable[str]) -> tuple[list[ReviewEvent], list[LogError
                     or paper_id != paper_id.strip()):
                 raise ValueError(f"paper_id must hold no comma or line break and "
                                  f"no surrounding space, got {paper_id!r}")
-            date = _date(record["date"])
+            raw = record["date"]
+            # a value that is not a string (it may be unhashable) goes
+            # straight to _date, which words its diagnostic
+            date = dates.get(raw) if type(raw) is str else None
+            if date is None:
+                date = dates[raw] = _date(raw)
             build = _BUILDERS.get(kind) if type(kind) is str else None
             if build is None:
                 raise ValueError(f"unknown event type {kind!r}")

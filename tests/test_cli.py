@@ -1,4 +1,3 @@
-import dataclasses
 import datetime as dt
 import functools
 import hashlib
@@ -509,7 +508,7 @@ def test_features_read_report_text_with_a_lone_surrogate(tmp_path, capsys):
     log = tmp_path / "events.jsonl"
     events = small_log(log)
     text = "good \ud800good bad\ud800 clear"
-    events = [dataclasses.replace(ev, text=text) if isinstance(ev, Report) else ev
+    events = [ev._replace(text=text) if isinstance(ev, Report) else ev
               for ev in events]
     write_events(events, log)
     assert "\\ud800" in log.read_text()  # the JSON escape, not a raw character

@@ -1,6 +1,7 @@
 import datetime as dt
 import json
 import tracemalloc
+from typing import get_type_hints
 
 import pytest
 
@@ -171,10 +172,38 @@ def test_round_trip_write_then_parse(tmp_path):
     write_events(events, path)
     reparsed, errors = parse_events(path.read_text().splitlines())
     assert errors == [] and reparsed == events
+    assert [type(e) for e in reparsed] == [type(e) for e in events]
     assert [json.loads(json.dumps(event_to_record(e))) for e in events] == SAMPLE
     with pytest.raises(TypeError, match="not a review event"):
         event_to_record(SAMPLE[0])
 
+
+
+def test_events_are_immutable():
+    events, _ = parse_events(lines_of(SAMPLE))
+    assert len(events) == len(SAMPLE)
+    for ev in events:
+        with pytest.raises(AttributeError):
+            ev.paper_id = "p2"
+        with pytest.raises(AttributeError):
+            ev.note = "x"  # no per-instance __dict__ to hold it
+        assert not hasattr(ev, "__dict__")
+    assert events == parse_events(lines_of(SAMPLE))[0]
+
+
+def test_events_of_two_kinds_never_compare_equal():
+    kinds = (Submission, Assignment, Report, Decision, CitationRecord)
+    events, _ = parse_events(lines_of(SAMPLE))
+    assert [type(ev) for ev in events] == list(kinds)
+    for a in events:
+        assert a == tuple(a)  # a named tuple equals its plain values
+        for b in events:
+            assert (a == b) == (a is b)
+    # nor can any other values: two kinds differ in length or in a field's
+    # type, and a str, an int, a tuple and a date never compare equal
+    signatures = {tuple(get_type_hints(kind).values()) for kind in kinds}
+    assert len(signatures) == len(kinds)
+    assert set().union(*signatures) == {str, dt.date, int, tuple[str, ...]}
 
 
 def test_interrupted_write_keeps_the_old_log(tmp_path):

@@ -5,7 +5,6 @@ same ``(line, message)`` diagnostics as the ``json.loads`` and two-walk forms
 in ``helpers``, and ``Corpus`` must hold what the two-walk reference builds.
 """
 
-import dataclasses
 import datetime as dt
 import itertools
 import json
@@ -28,7 +27,7 @@ from helpers import (SAMPLE, benchmark_configs, corpus_state, minimal_paper,
 def typed(events):
     """Events with each field's type beside its value, so that ``2.0`` and
     ``2`` or ``True`` and ``1`` do not compare equal."""
-    return [(type(ev), [(type(v), v) for v in dataclasses.astuple(ev)])
+    return [(type(ev), [(type(v), v) for v in tuple(ev)])
             for ev in events]
 
 
@@ -167,9 +166,9 @@ def faulty_logs(draw):
             del events[i]
         elif fault == "date":
             shift = dt.timedelta(days=draw(st.integers(-90, 90)))
-            events[i] = dataclasses.replace(ev, date=ev.date + shift)
+            events[i] = ev._replace(date=ev.date + shift)
         elif fault == "round" and not isinstance(ev, (Submission, CitationRecord)):
-            events[i] = dataclasses.replace(ev, round=draw(st.integers(1, 3)))
+            events[i] = ev._replace(round=draw(st.integers(1, 3)))
     if draw(st.booleans()):
         draw(st.randoms(use_true_random=False)).shuffle(events)
     return events
@@ -194,11 +193,11 @@ def test_validate_events_matches_the_reference_on_every_fault_at_once():
     p2 = minimal_paper("p2", dt.date(2010, 2, 1))
     events = [
         Report("p9", dt.date(2010, 1, 1), "r1", 1, "x", "accept"),  # orphan
-        p1[0], dataclasses.replace(p1[1], date=dt.date(2009, 12, 1)),  # early
+        p1[0], p1[1]._replace(date=dt.date(2009, 12, 1)),  # early
         Assignment("p1", dt.date(2010, 6, 1), "e1", "r1", 1),  # after decision
         *p1[2:], p1[0], p1[3],  # duplicate submission and decision
         p2[0], CitationRecord("p2", dt.date(2011, 1, 1), 1, 2011),  # undecided
-        dataclasses.replace(p2[1], round=3), *p2[2:],  # rounds 1 and 3
+        p2[1]._replace(round=3), *p2[2:],  # rounds 1 and 3
     ]
     errors = validate_events(events)
     for fragment in ("without prior submission", "before its submission",

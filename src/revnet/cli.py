@@ -59,25 +59,39 @@ def _write_manifest(path, command: str, params: dict, inputs: list,
     write_lines(path, [json.dumps(doc, indent=2, sort_keys=True)])
 
 
-def _same_file(a, b) -> bool:
-    if os.path.exists(a) and os.path.exists(b):
-        return os.path.samefile(a, b)
-    return os.path.realpath(a) == os.path.realpath(b)
+def _identity(path) -> tuple:
+    """The (device, inode) of an existing file, else None, and the real path:
+    two paths name one file when both exist and their inodes match (as
+    ``os.path.samefile`` finds), or when either is missing and their real
+    paths match."""
+    try:
+        st = os.stat(path)
+        inode = (st.st_dev, st.st_ino)
+    except (OSError, ValueError):
+        inode = None
+    return inode, os.path.realpath(path)
+
+
+def _same_file(a: tuple, b: tuple) -> bool:
+    if a[0] is not None and b[0] is not None:
+        return a[0] == b[0]
+    return a[1] == b[1]
 
 
 def _check_outputs(inputs: list, outputs: list) -> None:
     """Raise ``ValueError`` when an output path, or the ``<path>.tmp`` it is
     written through, names an input or an earlier output; ``None`` entries
-    (options not given) are skipped."""
-    named = [("input", p) for p in inputs if p is not None]
+    (options not given) are skipped.  Each path is looked up once."""
+    named = [("input", p, _identity(p)) for p in inputs if p is not None]
     for out in outputs:
         if out is None:
             continue
-        for kind, other in named:
-            for path in (str(out), str(out) + ".tmp"):
-                if _same_file(path, other):
+        paths = [(path, _identity(path)) for path in (str(out), str(out) + ".tmp")]
+        for kind, other, other_id in named:
+            for path, path_id in paths:
+                if _same_file(path_id, other_id):
                     raise ValueError(f"output {path} is the same file as {kind} {other}")
-        named.append(("output", out))
+        named.append(("output", out, paths[0][1]))
 
 
 def cmd_validate(args) -> int:

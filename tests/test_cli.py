@@ -15,7 +15,8 @@ import pytest
 
 import revnet
 from revnet import centrality, features, svr
-from revnet.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from revnet.cli import (EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION,
+                        _check_outputs, main)
 from revnet.corpus import Corpus, Report, write_events
 from revnet.features import NETWORK_FEATURES
 from revnet.text_metrics import CATEGORIES, LEXICON_DIR_ENV, load_lexicon
@@ -560,6 +561,18 @@ def inputs_dir(tmp_path, monkeypatch):
                  "--folds", "3"]) == EXIT_OK
     monkeypatch.chdir(tmp_path)
     return tmp_path
+
+
+def test_output_check_looks_up_each_path_once(tmp_path, monkeypatch):
+    # analyze checks 18 outputs; comparing every pair by fresh lookups took
+    # about 20 ms, a tenth of a small corpus's analysis
+    looked_up = []
+    realpath = os.path.realpath
+    monkeypatch.setattr(os.path, "realpath",
+                        lambda path: looked_up.append(path) or realpath(path))
+    outputs = [str(tmp_path / f"o{i}.csv") for i in range(18)]
+    _check_outputs([str(tmp_path / "log.jsonl")], outputs)
+    assert len(looked_up) == 1 + 2 * len(outputs)
 
 
 @pytest.mark.parametrize("argv", [

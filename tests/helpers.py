@@ -1,8 +1,16 @@
-"""Shared test fixtures and independent oracles.
+"""Shared test fixtures, independent oracles and reference forms.
 
-The oracles deliberately use different algorithms than the package (dense
-Floyd-Warshall distances, explicit path-count dynamic programming, a direct
-linear solve for PageRank) so that agreement is meaningful.
+The graph oracles use other algorithms than the package (Floyd-Warshall with
+path-count DP, a triangle count, a PageRank linear solve, the "shares an
+editor" predicate), so agreement is meaningful; networkx and
+``test_digests.py`` guard the same layer.  The ``reference_*`` forms left
+pin what nothing else does: the loader's, the wording and order of
+diagnostics; the profile and irregular-case rescans and the text and
+supporting-feature forms, their results on hypothesis logs and texts the
+digest corpora never hold; ``reference_report_text``, the generator's draws
+on any stream; ``reference_solve_smo``, SMO bit for bit until model digests
+exist (ROADMAP items 3 and 6).  ``reference_kkt_max_violation`` and
+``reference_impute`` are oracles of their own.
 """
 
 from __future__ import annotations
@@ -14,16 +22,13 @@ import math
 import random
 import re
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from revnet import centrality
 from revnet.analysis import (HIGH_CITED_REJECTED_MIN, LOW_CITED_ACCEPTED_MAX,
                              IrregularCase)
-from revnet.centrality import CentralityTable
 from revnet.corpus import (RECOMMENDATIONS, TERMINAL_OUTCOMES, Assignment,
                            AuthorProfile, CitationRecord, Corpus, Decision,
                            LogError, Report, ReviewerProfile, Submission,
@@ -37,19 +42,15 @@ FAR_FUTURE = dt.date(2100, 1, 1)
 # -- graph construction ------------------------------------------------------
 
 
-def graph_from_matrix(cutoff: dt.date, nodes, A: np.ndarray) -> ReviewGraph:
-    """A ``ReviewGraph`` over ``A``, read-only as ``build_graph`` leaves it."""
-    A.flags.writeable = False
-    return ReviewGraph(cutoff, tuple(nodes), A)
-
-
 def graph_from_edges(n: int, edges, names=None) -> ReviewGraph:
+    """The graph of ``edges``, read-only as ``build_graph`` leaves it."""
     names = tuple(names) if names else tuple(f"r{i:03d}" for i in range(n))
     A = np.zeros((n, n))
     for u, v in edges:
         if u != v:
             A[u, v] = A[v, u] = 1.0
-    return graph_from_matrix(FAR_FUTURE, names, A)
+    A.flags.writeable = False
+    return ReviewGraph(FAR_FUTURE, names, A)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> ReviewGraph:
@@ -67,13 +68,9 @@ def graph_edges(graph: ReviewGraph) -> list[tuple[int, int]]:
 
 
 def floyd_warshall(graph: ReviewGraph) -> np.ndarray:
-    n = graph.n
-    D = np.full((n, n), math.inf)
+    D = np.where(graph.A > 0.0, 1.0, math.inf)
     np.fill_diagonal(D, 0.0)
-    for u in range(n):
-        for v in graph.adj[u]:
-            D[u, v] = 1.0
-    for k in range(n):
+    for k in range(graph.n):
         D = np.minimum(D, D[:, k][:, None] + D[k][None, :])
     return D
 
@@ -139,197 +136,28 @@ def oracle_pagerank(graph: ReviewGraph, damping: float = 0.85) -> np.ndarray:
     n = graph.n
     if n == 0:
         return np.zeros(0)
-    A = graph.A
-    deg = A.sum(axis=0)
-    P = np.zeros((n, n))
-    for u in range(n):
-        if deg[u] == 0:
-            P[:, u] = 1.0 / n
-        else:
-            P[:, u] = A[:, u] / deg[u]
+    deg = graph.A.sum(axis=0)
+    # column u: u's mass split over its neighbours, or over all n if it has none
+    P = np.where(deg == 0.0, 1.0 / n, graph.A / np.maximum(deg, 1.0))
     return np.linalg.solve(np.eye(n) - damping * P,
                            np.full(n, (1.0 - damping) / n))
 
 
-# -- reference forms of the package centrality code ------------------------
+def assert_table_matches_oracles(graph: ReviewGraph, table) -> None:
+    """``compute_table(graph)``: degree the row sums of ``A``, betweenness
+    zero exactly where the oracle's is, PageRank converged."""
+    bc = oracle_betweenness(graph)
+    assert table.nodes == graph.nodes and table.pagerank_converged
+    assert table.degree.dtype == np.int64
+    assert table.degree.tolist() == graph.A.sum(axis=1).tolist()
+    assert np.allclose(table.betweenness, bc, rtol=0.0, atol=1e-9)
+    assert np.array_equal(table.betweenness == 0.0, bc == 0.0)
+    assert np.allclose(table.closeness, oracle_closeness(graph), rtol=0.0, atol=1e-9)
+    assert np.allclose(table.clustering, oracle_clustering(graph), rtol=0.0, atol=1e-9)
+    assert np.allclose(table.pagerank, oracle_pagerank(graph), rtol=0.0, atol=1e-6)
 
 
-def reference_brandes_pass(graph: ReviewGraph):
-    """Single sweep computing betweenness and per-node distance sums.
-
-    The queue-and-stack form of ``revnet.centrality._brandes_pass``, one
-    source at a time with Python integers for sigma.
-
-    Returns (raw betweenness with each pair counted twice, distance sums,
-    reachable-component sizes).
-    """
-    n = graph.n
-    adj = graph.adj
-    bc = [0.0] * n
-    dist_sum = [0] * n
-    comp_size = [1] * n
-
-    for s in range(n):
-        sigma = [0] * n
-        dist = [-1] * n
-        preds: list[list[int]] = [[] for _ in range(n)]
-        sigma[s] = 1
-        dist[s] = 0
-        stack: list[int] = []
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            stack.append(v)
-            dv = dist[v]
-            for w in adj[v]:
-                if dist[w] < 0:
-                    dist[w] = dv + 1
-                    queue.append(w)
-                if dist[w] == dv + 1:
-                    sigma[w] += sigma[v]
-                    preds[w].append(v)
-        delta = [0.0] * n
-        total = 0
-        reach = 0
-        for w in reversed(stack):
-            coeff = (1.0 + delta[w]) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coeff
-            if w != s:
-                bc[w] += delta[w]
-                total += dist[w]
-                reach += 1
-        dist_sum[s] = total
-        comp_size[s] = reach + 1
-
-    return bc, dist_sum, comp_size
-
-
-def reference_closeness_from_sums(dist_sum, comp_size, n: int) -> np.ndarray:
-    """Per-node loop form of ``revnet.centrality._closeness_from_sums``."""
-    out = np.zeros(n)
-    for v in range(n):
-        r = comp_size[v]
-        if r > 1 and dist_sum[v] > 0:
-            out[v] = ((r - 1) / (n - 1)) * ((r - 1) / dist_sum[v])
-    return out
-
-
-def reference_clustering(graph: ReviewGraph) -> np.ndarray:
-    """Neighbour-pair loop form of ``revnet.centrality.clustering``."""
-    out = np.zeros(graph.n)
-    neighbor_sets = [set(a) for a in graph.adj]
-    for v in range(graph.n):
-        neigh = graph.adj[v]
-        k = len(neigh)
-        if k < 2:
-            continue
-        links = 0
-        for i, u in enumerate(neigh):
-            su = neighbor_sets[u]
-            for w in neigh[i + 1:]:
-                if w in su:
-                    links += 1
-        out[v] = 2.0 * links / (k * (k - 1))
-    return out
-
-
-def reference_masked_brandes_pass(graph: ReviewGraph):
-    """The boolean-mask form of ``revnet.centrality._brandes_pass``: every
-    level is selected with ``np.where`` and boolean indexing, the level-0
-    forward product is taken, and the level-1 backward step runs, writing
-    the sources' dependencies before they are zeroed.
-
-    Returns (raw betweenness with each pair counted twice, distance sums,
-    reachable-component sizes).
-    """
-    n = graph.n
-    A = graph.A
-    bc = np.zeros(n)
-    dist_sum = np.zeros(n, dtype=np.int64)
-    comp_size = np.ones(n, dtype=np.int64)
-
-    block = centrality.SOURCE_BLOCK
-    for lo in range(0, n, block):
-        sources = np.arange(lo, min(lo + block, n))
-        rows = np.arange(len(sources))
-        dist = np.full((len(sources), n), -1, dtype=np.int64)
-        sigma = np.zeros((len(sources), n))
-        dist[rows, sources] = 0
-        sigma[rows, sources] = 1.0
-        frontier = dist == 0
-        depth = 0
-        while True:
-            paths = np.where(frontier, sigma, 0.0) @ A
-            frontier = (paths > 0.0) & (dist < 0)
-            if not frontier.any():
-                break
-            depth += 1
-            sigma[frontier] = paths[frontier]
-            dist[frontier] = depth
-
-        delta = np.zeros_like(sigma)
-        for d in range(depth, 0, -1):
-            coeff = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma),
-                              where=dist == d)
-            parents = dist == d - 1
-            delta[parents] += sigma[parents] * (coeff @ A)[parents]
-        delta[rows, sources] = 0.0
-        bc += delta.sum(axis=0)
-        reached = dist >= 0
-        dist_sum[sources] = np.where(reached, dist, 0).sum(axis=1)
-        comp_size[sources] = reached.sum(axis=1)
-
-    return bc, dist_sum, comp_size
-
-
-def reference_add_at_pagerank(graph: ReviewGraph, damping: float = 0.85,
-                              tol: float = 1e-9, max_iter: int = 200):
-    """``revnet.centrality.pagerank`` with the edge lists read from
-    ``graph.adj`` and the sums taken by ``np.add.at``."""
-    n = graph.n
-    if n == 0:
-        return np.zeros(0), True
-    degrees = np.array([len(a) for a in graph.adj], dtype=np.float64)
-    src = np.array([u for u in range(n) for _ in graph.adj[u]], dtype=np.int64)
-    dst = np.array([v for u in range(n) for v in graph.adj[u]], dtype=np.int64)
-    dangling = degrees == 0
-    inv_deg = np.where(dangling, 0.0, 1.0 / np.maximum(degrees, 1.0))
-
-    pr = np.full(n, 1.0 / n)
-    converged = False
-    for _ in range(max_iter):
-        contrib = pr * inv_deg
-        nxt = np.zeros(n)
-        np.add.at(nxt, dst, contrib[src])
-        dangling_mass = pr[dangling].sum()
-        nxt = (1.0 - damping) / n + damping * (nxt + dangling_mass / n)
-        if np.abs(nxt - pr).sum() < tol:
-            pr = nxt
-            converged = True
-            break
-        pr = nxt
-    return pr, converged
-
-
-def reference_table(graph: ReviewGraph) -> CentralityTable:
-    """``revnet.centrality.compute_table`` from the masked Brandes pass and
-    the ``np.add.at`` PageRank."""
-    n = graph.n
-    bc_raw, dist_sum, comp_size = reference_masked_brandes_pass(graph)
-    pr, ok = reference_add_at_pagerank(graph)
-    return CentralityTable(
-        nodes=graph.nodes,
-        degree=np.array([len(a) for a in graph.adj], dtype=np.int64),
-        betweenness=(np.zeros(n) if n < 3 else bc_raw / ((n - 1) * (n - 2))),
-        closeness=reference_closeness_from_sums(dist_sum, comp_size, n),
-        clustering=reference_clustering(graph),
-        pagerank=pr,
-        pagerank_converged=ok,
-    )
-
-
-# -- reference form of the snapshot projection -------------------------------
+# -- the snapshot projection by rescan and by predicate ---------------------
 
 
 @dataclass(frozen=True)
@@ -356,34 +184,18 @@ def reference_snapshot(corpus: Corpus, cutoff: dt.date = dt.date.max) -> Biparti
                              frozenset(pairs))
 
 
-def reference_neighbors(snap: BipartiteSnapshot) -> tuple[tuple[int, ...], ...]:
-    """Editor-pool form of ``revnet.review_graph.build_graph``'s projection:
-    each editor links every pair of its reviewers.  Returns each sorted
-    reviewer's neighbour indexes, ascending."""
-    nodes = tuple(sorted(snap.reviewer_ids))
-    index = {r: i for i, r in enumerate(nodes)}
-    by_editor: dict[str, list[int]] = {}
-    for editor, reviewer in snap.assignments:
-        by_editor.setdefault(editor, []).append(index[reviewer])
+def brute_projection_edges(snap):
+    """Edge set from the direct 'shares >= 1 editor' predicate."""
+    reviewers = sorted(snap.reviewer_ids)
+    edges = set()
+    for i, a in enumerate(reviewers):
+        for b in reviewers[i + 1:]:
+            for e in snap.editor_ids:
+                if (e, a) in snap.assignments and (e, b) in snap.assignments:
+                    edges.add((a, b))
+                    break
+    return edges
 
-    neighbor_sets: list[set[int]] = [set() for _ in nodes]
-    for members in by_editor.values():
-        members.sort()
-        for i, u in enumerate(members):
-            for v in members[i + 1:]:
-                neighbor_sets[u].add(v)
-                neighbor_sets[v].add(u)
-
-    return tuple(tuple(sorted(s)) for s in neighbor_sets)
-
-
-def reference_project(snap: BipartiteSnapshot) -> ReviewGraph:
-    """The graph of ``reference_neighbors``, its matrix set entry by entry."""
-    nodes = tuple(sorted(snap.reviewer_ids))
-    A = np.zeros((len(nodes), len(nodes)))
-    for u, neighbors in enumerate(reference_neighbors(snap)):
-        A[u, list(neighbors)] = 1.0
-    return graph_from_matrix(snap.cutoff, nodes, A)
 
 
 # -- reference forms of the log loader --------------------------------------
@@ -922,19 +734,6 @@ def random_assignment_events(rng: random.Random, n_papers: int,
             events.append(Assignment(pid, sub + dt.timedelta(days=rng.randrange(1, 30)),
                                      editor, rid, 1))
     return events
-
-
-def brute_projection_edges(snap):
-    """Edge set from the direct 'shares >= 1 editor' predicate."""
-    reviewers = sorted(snap.reviewer_ids)
-    edges = set()
-    for i, a in enumerate(reviewers):
-        for b in reviewers[i + 1:]:
-            for e in snap.editor_ids:
-                if (e, a) in snap.assignments and (e, b) in snap.assignments:
-                    edges.add((a, b))
-                    break
-    return edges
 
 
 def spearman(x, y) -> float:

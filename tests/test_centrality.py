@@ -6,11 +6,9 @@ import pytest
 from revnet import centrality
 from revnet.centrality import clustering, compute_table, degree, pagerank
 
-from helpers import (graph_from_edges, oracle_betweenness, oracle_closeness,
-                     oracle_clustering, oracle_pagerank, random_graph,
-                     reference_brandes_pass, reference_closeness_from_sums,
-                     reference_clustering, reference_masked_brandes_pass,
-                     reference_table)
+from helpers import (assert_table_matches_oracles, floyd_warshall,
+                     graph_from_edges, oracle_betweenness, oracle_closeness,
+                     oracle_clustering, oracle_pagerank, random_graph)
 
 
 def path_graph(n):
@@ -138,43 +136,37 @@ def test_compute_table_consistent_with_individual_measures():
     assert np.array_equal(table.pagerank, pr) and table.pagerank_converged == ok
 
 
-# -- parity with the reference loop forms -----------------------------------
+# -- the matrix pass against the oracles -----------------------------------
 
 
-def assert_matches_reference(graph):
-    """Degree, closeness, clustering and PageRank byte-equal to the loop
-    forms; betweenness, whose sums run in another order, within 1e-12
-    relative (zero exactly where the reference is zero).  All five measures
-    byte-equal to the masked Brandes pass and the ``np.add.at`` PageRank."""
-    n = graph.n
+def assert_matches_oracles(graph):
+    """The table against the oracles, and the pass's distance sums and
+    component sizes equal to those of the Floyd-Warshall distances."""
     table = compute_table(graph)
-    masked = reference_table(graph)
-    for measure in centrality.MEASURES:
-        assert getattr(table, measure).tobytes() == getattr(masked, measure).tobytes()
-    assert table.pagerank_converged == masked.pagerank_converged
-    bc_raw, dist_sum, comp_size = reference_brandes_pass(graph)
-    _, new_dist_sum, new_comp_size = centrality._brandes_pass(graph.A)
-    assert new_dist_sum.tolist() == dist_sum and new_comp_size.tolist() == comp_size
-    expected_bc = np.zeros(n) if n < 3 else np.array(bc_raw) / ((n - 1) * (n - 2))
-    assert np.all(np.abs(table.betweenness - expected_bc) <= 1e-12 * expected_bc)
-    assert table.degree.tobytes() == np.array([len(a) for a in graph.adj]).tobytes()
-    assert table.closeness.tobytes() == reference_closeness_from_sums(
-        dist_sum, comp_size, n).tobytes()
-    assert table.clustering.tobytes() == reference_clustering(graph).tobytes()
+    assert_table_matches_oracles(graph, table)
     pr, ok = pagerank(graph)
     assert table.pagerank.tobytes() == pr.tobytes() and table.pagerank_converged == ok
+    D = floyd_warshall(graph)
+    reached = np.isfinite(D)
+    _, dist_sum, comp_size = centrality._brandes_pass(graph.A)
+    assert dist_sum.tolist() == np.where(reached, D, 0.0).sum(axis=1).tolist()
+    assert comp_size.tolist() == reached.sum(axis=1).tolist()
 
 
 def two_components_and_isolates():
     return graph_from_edges(9, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3), (5, 6)])
 
 
-def test_matrix_pass_matches_reference_on_named_graphs():
+def test_matrix_pass_matches_the_oracles():
+    rng = random.Random(29)
+    random_graphs = [random_graph(rng, rng.randrange(3, 45),
+                                  rng.choice([0.03, 0.1, 0.3, 0.7]))
+                     for _ in range(40)]
     for graph in (graph_from_edges(0, []), graph_from_edges(1, []),
                   graph_from_edges(2, []), graph_from_edges(2, [(0, 1)]),
                   path_graph(9), cycle_graph(8), star_graph(7), complete_graph(6),
-                  two_components_and_isolates()):
-        assert_matches_reference(graph)
+                  two_components_and_isolates(), *random_graphs):
+        assert_matches_oracles(graph)
 
 
 class CountingMatrix(np.ndarray):
@@ -202,16 +194,9 @@ def test_forward_sweep_stops_once_every_node_is_reached(graph, products):
     CountingMatrix.products = 0
     got = centrality._brandes_pass(graph.A.view(CountingMatrix))
     assert CountingMatrix.products == products
-    for mine, ref in zip(got, reference_masked_brandes_pass(graph)):
-        assert np.asarray(mine).tobytes() == np.asarray(ref).tobytes()
-
-
-def test_matrix_pass_matches_reference_on_random_graphs():
-    rng = random.Random(29)
-    for _ in range(40):
-        graph = random_graph(rng, rng.randrange(3, 45),
-                             rng.choice([0.03, 0.1, 0.3, 0.7]))
-        assert_matches_reference(graph)
+    for counted, plain in zip(got, centrality._brandes_pass(graph.A)):
+        assert np.asarray(counted).tobytes() == plain.tobytes()
+    assert_matches_oracles(graph)
 
 
 def test_matrix_pass_over_several_source_blocks(monkeypatch):
@@ -219,7 +204,7 @@ def test_matrix_pass_over_several_source_blocks(monkeypatch):
     graph = random_graph(rng, 23, 0.12)  # sparse: several components
     whole = compute_table(graph)
     monkeypatch.setattr(centrality, "SOURCE_BLOCK", 4)
-    assert_matches_reference(graph)
+    assert_matches_oracles(graph)
     blocked = compute_table(graph)
     assert blocked.closeness.tobytes() == whole.closeness.tobytes()
     assert blocked.clustering.tobytes() == whole.clustering.tobytes()

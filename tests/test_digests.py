@@ -12,13 +12,16 @@ bytes on purpose rewrites the file with
 digest.
 """
 
+import dataclasses
 import hashlib
 import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from revnet import centrality
 from revnet.cli import main
 
 from helpers import benchmark_configs
@@ -56,6 +59,23 @@ def test_outputs_match_the_committed_digests(tmp_path, case):
                   for name in sorted(expected.keys() | actual.keys())
                   if expected.get(name) != actual.get(name)]
     assert not mismatches, "\n".join(mismatches)
+
+
+@pytest.mark.parametrize("measure", centrality.MEASURES)
+def test_a_one_ulp_change_to_a_graph_measure_changes_a_digest(tmp_path, monkeypatch,
+                                                             measure):
+    """The digests see every measure: each one moved up by one ulp in every
+    table changes some output of case "3"."""
+    compute_table = centrality.compute_table
+
+    def nudged(graph):
+        table = compute_table(graph)
+        moved = np.nextafter(getattr(table, measure), np.inf)
+        return dataclasses.replace(table, **{measure: moved})
+
+    monkeypatch.setattr(centrality, "compute_table", nudged)
+    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))["3"]
+    assert pipeline_digests(tmp_path, *CASES["3"]) != expected
 
 
 if __name__ == "__main__":

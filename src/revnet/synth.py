@@ -37,6 +37,12 @@ DEFAULT_EFFECTS = {
     "report_length": 0.0,
 }
 
+# Bound on each effect weight and on noise_sd.  A planted signal is at most
+# about sqrt(papers) in size and a Gaussian draw at most about 8.6, so the
+# latent qualities stay far below 1e154, past which _standardize's squares
+# overflow.
+MAX_WEIGHT = 1e100
+
 # neutral report vocabulary; anything appearing in a lexicon is dropped at
 # generation time so planted hit rates stay exact
 _FILLER = (
@@ -111,9 +117,14 @@ class SynthConfig:
         unknown = set(self.effects) - set(DEFAULT_EFFECTS)
         if unknown:
             raise ValueError(f"unknown effect names: {sorted(unknown)}")
-        bad = {name: w for name, w in self.effects.items() if not _is_finite(w)}
+        bad = {name: w for name, w in self.effects.items()
+               if not (_is_finite(w) and abs(w) <= MAX_WEIGHT)}
         if bad:
-            raise ValueError(f"effects must be finite numbers, got {bad}")
+            raise ValueError(f"effects must be finite numbers of magnitude at most "
+                             f"{MAX_WEIGHT:g}, got {bad}")
+        if abs(self.noise_sd) > MAX_WEIGHT:
+            raise ValueError(f"noise_sd must be at most {MAX_WEIGHT:g} in magnitude, "
+                             f"got {self.noise_sd!r}")
 
     @classmethod
     def from_file(cls, path) -> "SynthConfig":

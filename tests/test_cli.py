@@ -82,8 +82,10 @@ def test_generate_keeps_config_seed(tmp_path):
     ([{"seed": 3}], "JSON object"),
     ({"effects": {"network": "x"}}, "effects"),
     ({"citation_base": 800, "papers_per_year": 20, "n_years": 1}, "citation_base"),
+    ({"effects": {"network": 1e200}}, "effects"),
+    ({"noise_sd": 1e308}, "noise_sd"),
 ], ids=["negative-grid", "zero-grid", "fractional-count", "unknown-key", "list",
-        "text-effect", "overflowing-citations"])
+        "text-effect", "overflowing-citations", "huge-effect", "huge-noise"])
 def test_bad_generate_config_is_usage_error_naming_the_field(tmp_path, capsys,
                                                              config, fragment):
     path = tmp_path / "config.json"

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from revnet.corpus import Corpus, validate_events
 from revnet.features import supporting_features
-from revnet.synth import (DEFAULT_EFFECTS, SynthConfig, _report_text, _word_pools,
-                          generate, ground_truth)
+from revnet.synth import (DEFAULT_EFFECTS, MAX_WEIGHT, SynthConfig, _report_text,
+                          _word_pools, generate, ground_truth)
 from revnet.text_metrics import load_lexicon
 
 from helpers import reference_report_text, spearman
@@ -43,6 +43,9 @@ def test_config_validation():
     ("effects", {"network": "x"}),
     ("effects", {"network": float("inf")}),
     ("effects", [1.0]),
+    ("effects", {"network": 1e200}),
+    ("noise_sd", 1e308),
+    ("noise_sd", -1e101),
     ("round_probs_rejected", 0.3),
     ("round_probs_rejected", (0.3, "0.05")),
 ])
@@ -133,6 +136,13 @@ def test_generate_is_deterministic_and_valid():
     assert events == generate(config)
     assert validate_events(events) == []
     assert events != generate(SynthConfig(seed=2, papers_per_year=100, n_years=2))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_weights_at_the_bound_generate_a_valid_log(sign):
+    config = SynthConfig(papers_per_year=50, n_years=2, noise_sd=-sign * MAX_WEIGHT,
+                         effects={name: sign * MAX_WEIGHT for name in DEFAULT_EFFECTS})
+    assert validate_events(generate(config)) == []
 
 
 def test_generated_corpus_has_expected_volume():

@@ -90,21 +90,20 @@ def _path_counts(graph: ReviewGraph, D: np.ndarray, s: int) -> np.ndarray:
 
 
 def oracle_betweenness(graph: ReviewGraph) -> np.ndarray:
+    """Pair dependencies summed over pairs: v is on a shortest s-t path iff
+    D[s, v] + D[v, t] == D[s, t], and carries N[s, v] N[t, v] / N[s, t] of
+    that pair's paths.  Each pair is counted in both orders, then halved."""
     n = graph.n
     if n < 3:
         return np.zeros(n)
     D = floyd_warshall(graph)
-    counts = [_path_counts(graph, D, s) for s in range(n)]
+    N = np.array([_path_counts(graph, D, s) for s in range(n)])
+    finite = np.isfinite(D)
     bc = np.zeros(n)
-    for s in range(n):
-        for t in range(s + 1, n):
-            if not math.isfinite(D[s, t]) or counts[s][t] == 0:
-                continue
-            for v in range(n):
-                if v in (s, t):
-                    continue
-                if D[s, v] + D[v, t] == D[s, t]:
-                    bc[v] += counts[s][v] * counts[t][v] / counts[s][t]
+    for v in range(n):
+        through = (D[:, v, None] + D[v] == D) & finite
+        through[v] = through[:, v] = False
+        bc[v] = (np.outer(N[:, v], N[:, v])[through] / N[through]).sum() / 2.0
     return bc / ((n - 1) * (n - 2) / 2.0)
 
 

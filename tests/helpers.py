@@ -75,17 +75,12 @@ def floyd_warshall(graph: ReviewGraph) -> np.ndarray:
     return D
 
 
-def _path_counts(graph: ReviewGraph, D: np.ndarray, s: int) -> np.ndarray:
-    """Number of shortest paths from s to every node, by distance DP."""
-    n = graph.n
-    N = np.zeros(n)
-    N[s] = 1.0
-    order = sorted((v for v in range(n) if math.isfinite(D[s, v])),
-                   key=lambda v: D[s, v])
-    for w in order:
-        if w == s:
-            continue
-        N[w] = sum(N[u] for u in graph.adj[w] if D[s, u] == D[s, w] - 1)
+def _path_counts(graph: ReviewGraph, D: np.ndarray) -> np.ndarray:
+    """N[s, w], the number of shortest s-w paths, by DP over the distances:
+    N[s, w] sums N[s, u] over the neighbours u of w with D[s, u] one less."""
+    N = np.eye(graph.n)
+    for d in range(1, int(D[np.isfinite(D)].max(initial=0.0)) + 1):
+        N += ((N * (D == d - 1)) @ graph.A) * (D == d)
     return N
 
 
@@ -97,7 +92,7 @@ def oracle_betweenness(graph: ReviewGraph) -> np.ndarray:
     if n < 3:
         return np.zeros(n)
     D = floyd_warshall(graph)
-    N = np.array([_path_counts(graph, D, s) for s in range(n)])
+    N = _path_counts(graph, D)
     finite = np.isfinite(D)
     bc = np.zeros(n)
     for v in range(n):

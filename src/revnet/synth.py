@@ -122,8 +122,8 @@ class SynthConfig:
         if bad:
             raise ValueError(f"effects must be finite numbers of magnitude at most "
                              f"{MAX_WEIGHT:g}, got {bad}")
-        if abs(self.noise_sd) > MAX_WEIGHT:
-            raise ValueError(f"noise_sd must be at most {MAX_WEIGHT:g} in magnitude, "
+        if not 0.0 <= self.noise_sd <= MAX_WEIGHT:
+            raise ValueError(f"noise_sd must lie in [0, {MAX_WEIGHT:g}], "
                              f"got {self.noise_sd!r}")
 
     @classmethod

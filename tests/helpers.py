@@ -8,9 +8,9 @@ pin what nothing else does: the loader's, the wording and order of
 diagnostics; the profile and irregular-case rescans and the text and
 supporting-feature forms, their results on hypothesis logs and texts the
 digest corpora never hold; ``reference_report_text``, the generator's draws
-on any stream; ``reference_solve_smo``, SMO bit for bit until model digests
-exist (ROADMAP items 3 and 6).  ``reference_kkt_max_violation`` and
-``reference_impute`` are oracles of their own.
+on any stream; ``reference_solve_smo``, SMO bit for bit, since the digests
+leave models out.  ``reference_kkt_max_violation`` and ``reference_impute``
+are oracles of their own.
 """
 
 from __future__ import annotations

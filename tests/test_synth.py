@@ -43,11 +43,11 @@ def test_config_validation():
     ("effects", {"network": "x"}),
     ("effects", {"network": float("inf")}),
     ("effects", [1.0]),
+    ("round_probs_rejected", 0.3),
+    ("round_probs_rejected", (0.3, "0.05")),
     ("effects", {"network": 1e200}),
     ("noise_sd", 1e308),
     ("noise_sd", -0.3),
-    ("round_probs_rejected", 0.3),
-    ("round_probs_rejected", (0.3, "0.05")),
 ])
 def test_config_rejects_bad_field_naming_it(field, value):
     with pytest.raises(ValueError, match=field):

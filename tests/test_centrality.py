@@ -157,15 +157,19 @@ def two_components_and_isolates():
     return graph_from_edges(9, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3), (5, 6)])
 
 
-def test_matrix_pass_matches_the_oracles():
-    rng = random.Random(29)
-    random_graphs = [random_graph(rng, rng.randrange(3, 45),
-                                  rng.choice([0.03, 0.1, 0.3, 0.7]))
-                     for _ in range(40)]
+def test_matrix_pass_matches_reference_on_named_graphs():
     for graph in (graph_from_edges(0, []), graph_from_edges(1, []),
                   graph_from_edges(2, []), graph_from_edges(2, [(0, 1)]),
                   path_graph(9), cycle_graph(8), star_graph(7), complete_graph(6),
-                  two_components_and_isolates(), *random_graphs):
+                  two_components_and_isolates()):
+        assert_matches_oracles(graph)
+
+
+def test_matrix_pass_matches_reference_on_random_graphs():
+    rng = random.Random(29)
+    for _ in range(40):
+        graph = random_graph(rng, rng.randrange(3, 45),
+                             rng.choice([0.03, 0.1, 0.3, 0.7]))
         assert_matches_oracles(graph)
 
 

@@ -113,11 +113,22 @@ def _fill(X: np.ndarray, means: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rbf(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
-    sq = (np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :]
-          - 2.0 * A @ B.T)
-    np.maximum(sq, 0.0, out=sq)
-    return np.exp(-gamma * sq)
+# rows per step when _rbf turns Gram products into squared distances in
+# place: the step's temporary holds this many rows rather than l
+_RBF_BLOCK = 64
+
+
+def _rbf(Z: np.ndarray, gamma: float) -> np.ndarray:
+    """The RBF kernel exp(-gamma |z_i - z_j|^2) of the rows of ``Z``, built in
+    the Gram product's own buffer: one l x l array at its peak."""
+    sq = np.sum(Z * Z, axis=1)
+    K = (2.0 * Z) @ Z.T
+    for lo in range(0, len(Z), _RBF_BLOCK):
+        rows = K[lo:lo + _RBF_BLOCK]
+        np.subtract(sq[lo:lo + _RBF_BLOCK, None] + sq[None, :], rows, out=rows)
+    np.maximum(K, 0.0, out=K)
+    np.multiply(K, -gamma, out=K)
+    return np.exp(K, out=K)
 
 
 def _solve_smo(K: np.ndarray, y: np.ndarray, config: SvrConfig):
@@ -132,17 +143,18 @@ def _solve_smo(K: np.ndarray, y: np.ndarray, config: SvrConfig):
     one add to s repeated twice.  The masks change only at the two variables
     a step moves, and every per-step array is a buffer allocated once.  Pair
     updates move beta_i by +t and beta_j by -t.
+
+    The WSS2 curvature row a_i = max(d_i + d - 2 K_i, 1e-12) is built the
+    first time i is picked and kept for the rest of the fit.  A fit picks
+    about half its rows, so the rows take about half the memory of the full
+    l x l matrix and cost less to build.
     """
     l = len(y)
     C, eps, tol = config.C, config.epsilon, config.tol
     two_eps = 2.0 * eps
     inf = np.inf
     diag = np.ascontiguousarray(np.diag(K))
-    # WSS2 curvature a_ij = max(d_i + d_j - 2 K_ij, 1e-12) for every pair,
-    # formed once per fit rather than one row per iteration
-    A = diag[:, None] + diag[None, :]
-    A -= 2.0 * K
-    np.maximum(A, 1e-12, out=A)
+    curvature = {}  # i -> a_i, for each i picked so far
 
     y_eps = y - eps
     F = np.zeros(l)
@@ -178,16 +190,18 @@ def _solve_smo(K: np.ndarray, y: np.ndarray, config: SvrConfig):
         np.subtract(m, low_s, out=obj)
         np.maximum(obj, 0.0, out=obj)
         np.square(obj, out=obj)
-        A_i = A[i]
-        np.divide(obj_p, A_i, out=obj_p)
-        np.divide(obj_m, A_i, out=obj_m)
+        a_i = curvature.get(i)
+        if a_i is None:
+            a_i = curvature[i] = np.maximum((diag[i] + diag) - 2.0 * K[i], 1e-12)
+        np.divide(obj_p, a_i, out=obj_p)
+        np.divide(obj_m, a_i, out=obj_m)
         vj = int(obj.argmax())
         score_j = float(low_s[vj])
         if not math.isfinite(score_j):
             break
         j = vj if vj < l else vj - l
 
-        t = (m - score_j) / float(A[i, j])
+        t = (m - score_j) / float(a_i[j])
         # clip so all four variables stay inside [0, C]
         t = min(t, C - a[vi] if vi < l else a[vi])
         t = min(t, a[vj] if vj < l else C - a[vj])
@@ -270,7 +284,7 @@ def fit(X: np.ndarray, y: np.ndarray, config: SvrConfig,
         std = np.where(degenerate, 1.0, std)
     Z = (X - mean) / std
 
-    K = _rbf(Z, Z, config.gamma)
+    K = _rbf(Z, config.gamma)
     beta, bias, iters, converged, gap = _solve_smo(K, y, config)
     if not converged:
         warnings.warn(f"SMO solver stopped after {iters} iterations without "

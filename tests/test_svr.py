@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from helpers import (reference_impute, reference_kkt_max_violation,
                      reference_solve_smo)
-from revnet.svr import (EvalReport, SvrConfig, _r2, _rbf, _solve_smo,
+from revnet.svr import (_RBF_BLOCK, EvalReport, SvrConfig, _r2, _rbf, _solve_smo,
                         cross_validate, f_statistic, fit, load_model, save_model)
 
 
@@ -145,7 +146,7 @@ def as_bytes(x):
 def test_solver_matches_reference_bit_for_bit():
     seen = set()
     for kind, X, y, config in solver_problems():
-        K = _rbf(X, X, config.gamma)
+        K = _rbf(X, config.gamma)
         beta, bias, iters, converged, gap = _solve_smo(K, y, config)
         r_beta, r_bias, r_iters, r_converged, r_gap = reference_solve_smo(K, y, config)
         assert beta.tobytes() == r_beta.tobytes(), kind
@@ -169,12 +170,38 @@ def test_solver_matches_reference_bit_for_bit():
 def test_solver_and_fit_leave_their_inputs_unchanged():
     X, y = random_problem(6, n=50)
     config = SvrConfig(C=10.0, gamma=0.5, epsilon=0.1)
-    K = _rbf(X, X, config.gamma)
+    K = _rbf(X, config.gamma)
     before = [arr.copy() for arr in (K, y, X)]
     _solve_smo(K, y, config)
     fit(X, y, config)
     for arr, copy in zip((K, y, X), before):
         assert arr.tobytes() == copy.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, _RBF_BLOCK - 1, _RBF_BLOCK, _RBF_BLOCK + 1,
+                               2 * _RBF_BLOCK + 3])
+def test_rbf_matches_explicit_pairwise_distances(n):
+    X = np.random.default_rng(n).normal(size=(n, 3))
+    K = _rbf(X, 0.3)
+    diff = X[:, None, :] - X[None, :, :]
+    oracle = np.exp(-0.3 * np.sum(diff * diff, axis=2))
+    assert K.shape == (n, n)
+    assert np.abs(K - oracle).max() <= 1e-12
+    assert np.abs(K - K.T).max() <= 1e-12
+    assert (np.diag(K) <= 1.0).all()
+
+
+def test_fit_peaks_below_two_kernel_sized_arrays():
+    # the kernel plus the curvature rows the solver picks; holding a full
+    # l x l curvature matrix next to the kernel would need three
+    X, y = random_problem(0, n=300, d=5, noise=1.0)
+    tracemalloc.start()
+    try:
+        fit(X, y, SvrConfig(C=100.0, gamma=0.01))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 300 * 300 * 8
 
 
 def test_nonconvergence_warns_and_is_recorded():

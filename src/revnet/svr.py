@@ -124,8 +124,8 @@ def _rbf(Z: np.ndarray, gamma: float) -> np.ndarray:
     sq = np.sum(Z * Z, axis=1)
     K = (2.0 * Z) @ Z.T
     for lo in range(0, len(Z), _RBF_BLOCK):
-        rows = K[lo:lo + _RBF_BLOCK]
-        np.subtract(sq[lo:lo + _RBF_BLOCK, None] + sq[None, :], rows, out=rows)
+        hi = lo + _RBF_BLOCK
+        np.subtract(sq[lo:hi, None] + sq[None, :], K[lo:hi], out=K[lo:hi])
     np.maximum(K, 0.0, out=K)
     np.multiply(K, -gamma, out=K)
     return np.exp(K, out=K)

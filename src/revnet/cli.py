@@ -174,7 +174,8 @@ def cmd_train(args) -> int:
     model = svr.fit(X, matrix.y, config, names)
     svr.save_model(model, args.model_out)
     fits = [{"iterations": d.iterations, "converged": d.converged,
-             "kkt_gap": d.kkt_gap, "n_support": d.n_support}
+             "kkt_gap": d.kkt_gap, "n_support": d.n_support,
+             "finish_rounds": d.finish_rounds}
             for d in report.fold_fits + [model.diagnostics]]
 
     print(f"pooled R2   {report.r2:.4f}")

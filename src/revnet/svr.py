@@ -9,6 +9,9 @@ where Q is the signed RBF kernel block matrix and p = (eps - y, eps + y).
 Pairs are picked by maximal KKT violation with a second-order working-set
 choice for the partner, so the solve is deterministic.  The stopping rule is
 the standard gap m(a) - M(a) <= tol, which doubles as the KKT certificate.
+Once SMO has sorted most rows to their bounds, an exact finish solves the
+small block of free rows directly (an active-set step, as in Scheinberg,
+JMLR 7, 2006) and ends the fit when the result passes the same gap test.
 
 Features are mean-imputed and z-scored with training statistics inside ``fit``;
 predictions apply the stored statistics, so models are self-contained.
@@ -61,6 +64,7 @@ class FitDiagnostics:
     kkt_gap: float
     train_beta: np.ndarray  # alpha - alpha* for every training row
     n_support: int
+    finish_rounds: int = 0  # linear solves of the finish that ended the fit
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,8 +135,101 @@ def _rbf(Z: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(K, out=K)
 
 
+# the exact finish: first tried once the SMO gap falls below _FINISH_GAP;
+# after a failed try, once it falls below _FINISH_BACKOFF times the gap at
+# that failure.  A try solves at most _FINISH_ROUNDS times, on at most a
+# quarter of the rows, and adds _FINISH_RIDGE to the free kernel block's
+# diagonal so that duplicate rows leave it solvable.
+_FINISH_GAP = 1.0
+_FINISH_BACKOFF = 0.25
+_FINISH_ROUNDS = 12
+_FINISH_RIDGE = 1e-10
+
+
+def _set_masks(a: np.ndarray, C: float, two_eps: float):
+    """The up and low set masks of ``_solve_smo`` for the variables ``a``."""
+    l = len(a) // 2
+    offset = np.concatenate([np.zeros(l), np.full(l, two_eps)])
+    up = np.concatenate([a[:l] < C, a[l:] > 0])
+    low = np.concatenate([a[:l] > 0, a[l:] < C])
+    return np.where(up, offset, -np.inf), np.where(low, offset, np.inf)
+
+
+def _row_states(a: np.ndarray, C: float) -> np.ndarray:
+    """Each row's state from its beta: +-2 at +-C, +-1 free with that sign,
+    0 at zero, each within 1e-8 C."""
+    l = len(a) // 2
+    beta = a[:l] - a[l:]
+    near = 1e-8 * C
+    return np.select([beta >= C - near, beta > near, beta <= near - C, beta < -near],
+                     [2, 1, -2, -1], 0)
+
+
+def _finish(K: np.ndarray, y: np.ndarray, states: np.ndarray, config: SvrConfig):
+    """The exact finish from the row ``states`` of ``_row_states``.
+
+    Rows at +-C or 0 keep that beta; the free rows' betas and the bias b
+    solve the bordered system [[K_FF, 1], [1', 0]] [beta_F; b] =
+    [y_F - eps sign_F - (K beta_B)_F; -sum beta_B].  A free beta whose sign
+    flipped goes to 0 and one past +-C to that bound, and the block is
+    solved again.  Once no beta moves, the result is judged by ``_solve_smo``'s
+    gap over all 2l variables; when it fails, every bound row whose KKT
+    violation against b exceeds tol / 2 turns free with the matching sign.
+    Returns (a, F, rounds) when the gap is at most tol, else None.
+    """
+    l = len(y)
+    C, eps, tol = config.C, config.epsilon, config.tol
+    two_eps = 2.0 * eps
+    states = states.copy()
+    for rounds in range(1, _FINISH_ROUNDS + 1):
+        free = np.flatnonzero(states % 2)
+        n = len(free)
+        if n == 0 or 4 * n > l:
+            return None
+        sign = states[free]
+        beta = np.where(states % 2 == 0, 0.5 * C * states, 0.0)
+        KB = K @ beta  # one product per round, rather than gathering K's free rows
+        A = np.empty((n + 1, n + 1))
+        A[:n, :n] = K[np.ix_(free, free)]
+        A[range(n), range(n)] += _FINISH_RIDGE
+        A[n, :n] = A[:n, n] = 1.0
+        A[n, n] = 0.0
+        rhs = np.append(y[free] - eps * sign - KB[free], -beta.sum())
+        try:
+            solution = np.linalg.solve(A, rhs)
+        except np.linalg.LinAlgError:
+            return None
+        beta_f, bias = solution[:n], solution[n]
+        flipped = beta_f * sign <= 0
+        past = ~flipped & (np.abs(beta_f) > C)
+        if flipped.any() or past.any():
+            states[free[flipped]] = 0
+            states[free[past]] = 2 * sign[past]
+            continue
+
+        beta[free] = beta_f
+        a = np.concatenate([np.maximum(beta, 0.0), np.maximum(-beta, 0.0)])
+        F = K @ beta
+        up_add, low_add = _set_masks(a, C, two_eps)
+        s = (y - eps) - F
+        s2 = np.concatenate([s, s])
+        if float((s2 + up_add).max()) - float((s2 + low_add).min()) <= tol:
+            return a, F, rounds
+        # scores against b: s - b for alpha, s + 2 eps - b for alpha*
+        r = s - bias
+        grow_p = ((states == 0) & (r > tol / 2)) | ((states == 2) & (r < -tol / 2))
+        grow_m = (((states == 0) & (r + two_eps < -tol / 2))
+                  | ((states == -2) & (r + two_eps > tol / 2)))
+        if not (grow_p.any() or grow_m.any()):
+            return None
+        states[grow_p] = 1
+        states[grow_m] = -1
+    return None
+
+
 def _solve_smo(K: np.ndarray, y: np.ndarray, config: SvrConfig):
-    """SMO on the paired dual.  Returns (beta, bias, iters, converged, gap).
+    """SMO on the paired dual with an exact finish.  Returns (beta, bias,
+    iters, converged, gap, finish_rounds).
 
     Works on the 2l variables a = (alpha, alpha*), kept as Python floats,
     plus F = K beta.  The KKT scores are s = y - eps - F for the alpha half
@@ -148,6 +245,13 @@ def _solve_smo(K: np.ndarray, y: np.ndarray, config: SvrConfig):
     first time i is picked and kept for the rest of the fit.  A fit picks
     about half its rows, so the rows take about half the memory of the full
     l x l matrix and cost less to build.
+
+    When the gap falls below the next try's threshold, ``_finish`` solves
+    the free rows exactly, unless the row states equal those of the last
+    failed try.  A result that passes the gap test replaces a and F, and
+    the loop's own check then ends the fit; otherwise SMO carries on from
+    where it stopped.  ``iters`` counts SMO steps only, and
+    ``finish_rounds`` is the successful finish's solve count, or 0.
     """
     l = len(y)
     C, eps, tol = config.C, config.epsilon, config.tol
@@ -159,9 +263,7 @@ def _solve_smo(K: np.ndarray, y: np.ndarray, config: SvrConfig):
     y_eps = y - eps
     F = np.zeros(l)
     a = [0.0] * (2 * l)
-    # at a = 0 every alpha is up only and every alpha* is low only
-    up_add = np.concatenate([np.zeros(l), np.full(l, -inf)])
-    low_add = np.concatenate([np.full(l, inf), np.full(l, two_eps)])
+    up_add, low_add = _set_masks(np.zeros(2 * l), C, two_eps)
     # s stored twice: contiguous adds are cheaper than broadcast ones
     s2, up_s, low_s, obj = (np.empty(2 * l) for _ in range(4))
     s_p, s_m = s2[:l], s2[l:]
@@ -170,6 +272,8 @@ def _solve_smo(K: np.ndarray, y: np.ndarray, config: SvrConfig):
 
     iters = 0
     gap = inf
+    finish_rounds = 0
+    next_try, failed_states = _FINISH_GAP, None
     while iters < config.max_passes:
         np.subtract(y_eps, F, out=s_p)
         np.copyto(s_m, s_p)
@@ -180,6 +284,16 @@ def _solve_smo(K: np.ndarray, y: np.ndarray, config: SvrConfig):
         gap = m - float(low_s[low_s.argmin()])
         if gap <= tol:
             break
+        if gap < next_try:
+            states = _row_states(np.array(a), C)
+            if failed_states is None or not np.array_equal(states, failed_states):
+                finished = _finish(K, y, states, config)
+                if finished is not None:
+                    a_new, F, finish_rounds = finished
+                    a = a_new.tolist()
+                    up_add, low_add = _set_masks(a_new, C, two_eps)
+                    continue
+            next_try, failed_states = _FINISH_BACKOFF * gap, states
 
         # second-order partner choice among violators (libsvm WSS2) by the
         # objective max(m - low_s, 0)^2 / a_ij.  A zero stands in for a
@@ -241,7 +355,7 @@ def _solve_smo(K: np.ndarray, y: np.ndarray, config: SvrConfig):
         bias = float(np.mean(s2[free]))
     else:
         bias = float((up_s.max() + low_s.min()) / 2.0)
-    return beta, bias, iters, converged, float(gap)
+    return beta, bias, iters, converged, float(gap), finish_rounds
 
 
 def fit(X: np.ndarray, y: np.ndarray, config: SvrConfig,
@@ -285,7 +399,7 @@ def fit(X: np.ndarray, y: np.ndarray, config: SvrConfig,
     Z = (X - mean) / std
 
     K = _rbf(Z, config.gamma)
-    beta, bias, iters, converged, gap = _solve_smo(K, y, config)
+    beta, bias, iters, converged, gap, finish_rounds = _solve_smo(K, y, config)
     if not converged:
         warnings.warn(f"SMO solver stopped after {iters} iterations without "
                       f"converging: KKT gap {gap:.6g} > tol {config.tol:g}",
@@ -301,7 +415,8 @@ def fit(X: np.ndarray, y: np.ndarray, config: SvrConfig,
         scaler_std=std,
         feature_names=tuple(feature_names),
         impute_means=impute,
-        diagnostics=FitDiagnostics(iters, converged, gap, beta, int(keep.sum())),
+        diagnostics=FitDiagnostics(iters, converged, gap, beta, int(keep.sum()),
+                                   finish_rounds),
     )
 
 

@@ -78,6 +78,34 @@ def test_a_one_ulp_change_to_a_graph_measure_changes_a_digest(tmp_path, monkeypa
     assert pipeline_digests(tmp_path, *CASES["3"]) != expected
 
 
+def test_train_repeats_its_bytes(tmp_path):
+    """Same seed, same model and report bytes, with the SVR's exact finish
+    (a LAPACK solve) in the fits.  Model digests drift with the BLAS kernel,
+    so they are compared run against run rather than committed."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(benchmark_configs()["tiny"]), encoding="utf-8")
+    log = tmp_path / "events.jsonl"
+    features_csv = tmp_path / "features" / "features.csv"
+    for argv in (["generate", str(log), "--config", str(config), "--seed", "3"],
+                 ["features", str(log), str(features_csv.parent),
+                  "--year-from", WINDOW[0], "--year-to", WINDOW[1]]):
+        assert main(argv) == 0, argv
+    finished = 0
+    for kind, flags in (("network", ["--network-only", "--gamma", "0.01"]),
+                        ("full", ["--gamma", "0.002"])):
+        runs = []
+        for run in ("a", "b"):
+            model, report = (tmp_path / f"{kind}_{run}_{name}.json"
+                             for name in ("model", "report"))
+            assert main(["train", str(features_csv), str(model), *flags, "--folds", "3",
+                         "--report-out", str(report)]) == 0
+            runs.append((model.read_bytes(), report.read_bytes()))
+        assert runs[0] == runs[1], kind
+        finished += sum(fit["finish_rounds"] > 0
+                        for fit in json.loads(runs[0][1])["fits"])
+    assert finished > 0
+
+
 if __name__ == "__main__":
     digests = {}
     for case, (seed, overrides) in CASES.items():

@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -143,16 +144,41 @@ def as_bytes(x):
     return np.float64(x).tobytes()
 
 
+def dual_objective(K, y, beta, eps):
+    """1/2 b'Kb - y'b + eps |b|_1: the paired dual's objective at the
+    alpha, alpha* split of ``beta`` that minimizes it."""
+    return 0.5 * beta @ K @ beta - y @ beta + eps * np.abs(beta).sum()
+
+
 def test_solver_matches_reference_bit_for_bit():
+    """Bit for bit with the reference until the exact finish fires; a fit
+    the finish ended must pass the KKT oracle, stay feasible, reach a dual
+    objective no higher than the reference's, in no more SMO steps."""
     seen = set()
     for kind, X, y, config in solver_problems():
         K = _rbf(X, config.gamma)
-        beta, bias, iters, converged, gap = _solve_smo(K, y, config)
+        beta, bias, iters, converged, gap, finish_rounds = _solve_smo(K, y, config)
         r_beta, r_bias, r_iters, r_converged, r_gap = reference_solve_smo(K, y, config)
-        assert beta.tobytes() == r_beta.tobytes(), kind
-        assert (iters, converged) == (r_iters, r_converged), kind
-        assert as_bytes(bias) == as_bytes(r_bias), kind
-        assert as_bytes(gap) == as_bytes(r_gap), kind
+        if finish_rounds == 0:
+            assert beta.tobytes() == r_beta.tobytes(), kind
+            assert (iters, converged) == (r_iters, r_converged), kind
+            assert as_bytes(bias) == as_bytes(r_bias), kind
+            assert as_bytes(gap) == as_bytes(r_gap), kind
+        else:
+            fitted = SimpleNamespace(
+                diagnostics=SimpleNamespace(train_beta=beta), config=config,
+                predict=lambda rows, K=K, beta=beta, bias=bias: K @ beta + bias)
+            assert converged and gap <= config.tol, kind
+            assert reference_kkt_max_violation(fitted, X, y) <= config.tol, kind
+            assert np.abs(beta).max() <= config.C, kind
+            assert abs(beta.sum()) <= 1e-9 * config.C, kind
+            objective = dual_objective(K, y, beta, config.epsilon)
+            r_objective = dual_objective(K, y, r_beta, config.epsilon)
+            assert objective <= r_objective + 1e-9 * abs(r_objective), kind
+            assert iters <= r_iters, kind
+            seen.add("finish fired")
+            if kind == "duplicates":
+                seen.add("finish fired on duplicates")
         if kind == "capped" and iters == config.max_passes and not converged:
             seen.add("cap hit")
         if kind == "small_C" and np.any(np.abs(beta) >= config.C * (1 - 1e-9)):
@@ -164,7 +190,44 @@ def test_solver_matches_reference_bit_for_bit():
         if (kind == "bench_size" and converged
                 and np.mean(np.abs(beta) >= config.C * (1 - 1e-9)) > 0.5):
             seen.add("mostly at C")
-    assert seen == {"cap hit", "at bound", "few SVs", "gap -0.0", "mostly at C"}
+    assert seen == {"cap hit", "at bound", "few SVs", "gap -0.0", "mostly at C",
+                    "finish fired", "finish fired on duplicates"}
+
+
+def test_finish_converges_on_duplicate_network_like_rows():
+    # rows like a network-only feature matrix: skewed columns, a third of
+    # the rows repeating another row's features with a target of their own
+    rng = np.random.default_rng(0)
+    distinct = rng.lognormal(size=(320, 5))
+    X = np.vstack([distinct, distinct[rng.integers(0, 320, size=160)]])
+    y = np.log1p(X[:, :3].sum(axis=1)) + 0.3 * rng.normal(size=480)
+    config = SvrConfig(C=100.0, gamma=0.01)
+    model = fit(X, y, config)
+    assert len(np.unique(X, axis=0)) < 0.7 * len(X)
+    assert model.diagnostics.converged and model.diagnostics.finish_rounds > 0
+    assert reference_kkt_max_violation(model, X, y) <= config.tol
+    again = fit(X, y, config)
+    assert again.diagnostics.train_beta.tobytes() == model.diagnostics.train_beta.tobytes()
+    assert as_bytes(again.bias) == as_bytes(model.bias)
+
+
+def test_finish_skips_a_free_block_over_a_quarter_of_the_rows(monkeypatch):
+    # large C on noise-free targets leaves most betas strictly inside (0, C)
+    X, y = random_problem(1, n=60, noise=0.0)
+    y = 10.0 * y
+    config = SvrConfig(C=1000.0, gamma=0.5, epsilon=0.01)
+    K = _rbf(X, config.gamma)
+    solves = []
+    real_solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda A, b: solves.append(len(A)) or real_solve(A, b))
+    beta, bias, iters, converged, gap, finish_rounds = _solve_smo(K, y, config)
+    assert (solves, finish_rounds) == ([], 0)
+    assert converged and gap <= config.tol
+    assert np.count_nonzero((beta != 0) & (np.abs(beta) < config.C)) > len(y) / 4
+    r_beta, r_bias, r_iters, _, _ = reference_solve_smo(K, y, config)
+    assert beta.tobytes() == r_beta.tobytes()
+    assert (iters, as_bytes(bias)) == (r_iters, as_bytes(r_bias))
 
 
 def test_solver_and_fit_leave_their_inputs_unchanged():

@@ -175,7 +175,7 @@ def _finish(K: np.ndarray, y: np.ndarray, states: np.ndarray, config: SvrConfig)
     solved again.  Once no beta moves, the result is judged by ``_solve_smo``'s
     gap over all 2l variables; when it fails, every bound row whose KKT
     violation against b exceeds tol / 2 turns free with the matching sign.
-    Returns (a, F, rounds) when the gap is at most tol, else None.
+    Returns (a, F, rounds, gap) when the gap is at most tol, else None.
     """
     l = len(y)
     C, eps, tol = config.C, config.epsilon, config.tol
@@ -213,8 +213,9 @@ def _finish(K: np.ndarray, y: np.ndarray, states: np.ndarray, config: SvrConfig)
         up_add, low_add = _set_masks(a, C, two_eps)
         s = (y - eps) - F
         s2 = np.concatenate([s, s])
-        if float((s2 + up_add).max()) - float((s2 + low_add).min()) <= tol:
-            return a, F, rounds
+        gap = float((s2 + up_add).max()) - float((s2 + low_add).min())
+        if gap <= tol:
+            return a, F, rounds, gap
         # scores against b: s - b for alpha, s + 2 eps - b for alpha*
         r = s - bias
         grow_p = ((states == 0) & (r > tol / 2)) | ((states == 2) & (r < -tol / 2))
@@ -248,9 +249,8 @@ def _solve_smo(K: np.ndarray, y: np.ndarray, config: SvrConfig):
 
     When the gap falls below the next try's threshold, ``_finish`` solves
     the free rows exactly, unless the row states equal those of the last
-    failed try.  A result that passes the gap test replaces a and F, and
-    the loop's own check then ends the fit; otherwise SMO carries on from
-    where it stopped.  ``iters`` counts SMO steps only, and
+    failed try.  A result that passes the gap test replaces a, F and the
+    masks and ends the fit; otherwise SMO carries on from where it stopped.  ``iters`` counts SMO steps only, and
     ``finish_rounds`` is the successful finish's solve count, or 0.
     """
     l = len(y)
@@ -289,10 +289,10 @@ def _solve_smo(K: np.ndarray, y: np.ndarray, config: SvrConfig):
             if failed_states is None or not np.array_equal(states, failed_states):
                 finished = _finish(K, y, states, config)
                 if finished is not None:
-                    a_new, F, finish_rounds = finished
+                    a_new, F, finish_rounds, gap = finished
                     a = a_new.tolist()
                     up_add, low_add = _set_masks(a_new, C, two_eps)
-                    continue
+                    break
             next_try, failed_states = _FINISH_BACKOFF * gap, states
 
         # second-order partner choice among violators (libsvm WSS2) by the

@@ -8,9 +8,10 @@ pin what nothing else does: the loader's, the wording and order of
 diagnostics; the profile and irregular-case rescans and the text and
 supporting-feature forms, their results on hypothesis logs and texts the
 digest corpora never hold; ``reference_report_text``, the generator's draws
-on any stream; ``reference_solve_smo``, SMO bit for bit, since the digests
-leave models out.  ``reference_kkt_max_violation`` and ``reference_impute``
-are oracles of their own.
+on any stream; ``reference_solve_smo``, SMO bit for bit until the exact
+finish fires, since the digests leave models out.
+``reference_kkt_max_violation`` and ``reference_impute`` are oracles of
+their own.
 """
 
 from __future__ import annotations
@@ -760,7 +761,8 @@ def reference_solve_smo(K: np.ndarray, y: np.ndarray, config):
 
     The reference form of ``revnet.svr._solve_smo``: the same pair choice,
     step and ``F`` update, written with a fresh masked copy of every score
-    array per iteration.  The package solver must match it bit for bit.
+    array per iteration.  The package solver matches it bit for bit until
+    the finish fires.
 
     Internally tracks alpha and alpha* separately plus F = K beta.  The KKT
     scores collapse to s = y - eps - F for the alpha side and s + 2 eps for

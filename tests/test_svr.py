@@ -10,8 +10,9 @@ import pytest
 
 from helpers import (reference_impute, reference_kkt_max_violation,
                      reference_solve_smo)
-from revnet.svr import (_RBF_BLOCK, EvalReport, SvrConfig, _r2, _rbf, _solve_smo,
-                        cross_validate, f_statistic, fit, load_model, save_model)
+from revnet.svr import (_RBF_BLOCK, EvalReport, SvrConfig, _finish, _r2, _rbf,
+                        _row_states, _solve_smo, cross_validate, f_statistic, fit,
+                        load_model, save_model)
 
 
 def random_problem(seed, n=60, d=4, noise=0.1):
@@ -209,6 +210,24 @@ def test_finish_converges_on_duplicate_network_like_rows():
     again = fit(X, y, config)
     assert again.diagnostics.train_beta.tobytes() == model.diagnostics.train_beta.tobytes()
     assert as_bytes(again.bias) == as_bytes(model.bias)
+
+
+def test_finish_solves_a_free_block_holding_equal_rows():
+    # SMO leaves one copy of a repeated row free and the other at a bound;
+    # marking both free makes K_FF singular, which the ridge must absorb
+    X, y = random_problem(5, n=200, noise=1.0)
+    X, y = np.vstack([X, X[:40]]), np.concatenate([y, y[:40]])
+    config = SvrConfig(C=1.0, gamma=0.5, epsilon=0.1)
+    K = _rbf(X, config.gamma)
+    beta = reference_solve_smo(K, y, config)[0]
+    states = _row_states(np.concatenate([np.maximum(beta, 0.0), np.maximum(-beta, 0.0)]),
+                         config.C)
+    twins = np.flatnonzero(states[:40] % 2)
+    assert len(twins) >= 5
+    states[200 + twins] = states[twins]
+    a, F, rounds, gap = _finish(K, y, states, config)
+    assert gap <= config.tol
+    assert np.array_equal(F, K @ (a[:240] - a[240:]))
 
 
 def test_finish_skips_a_free_block_over_a_quarter_of_the_rows(monkeypatch):

@@ -425,7 +425,9 @@ def f_statistic(column: np.ndarray, targets: np.ndarray) -> float:
 
     Both sums of squares come from centred values, SSE summed over the
     residuals: the textbook r^2 (n-2) / (1 - r^2) loses digits in 1 - r^2
-    when r is near 1.
+    when r is near 1.  Each column is centred twice: a mean rounded at the
+    column's offset leaves a shift of up to an ulp of that offset, which
+    the second pass removes, so a narrow column far from 0 keeps its F.
     """
     x = np.asarray(column, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
@@ -437,7 +439,9 @@ def f_statistic(column: np.ndarray, targets: np.ndarray) -> float:
     if x.std() < 1e-15 or y.std() < 1e-15:
         return 0.0
     xc = x - x.mean()
+    xc -= xc.mean()
     yc = y - y.mean()
+    yc -= yc.mean()
     sxy = float(np.sum(xc * yc))
     slope = sxy / float(np.sum(xc * xc))
     residuals = yc - slope * xc

@@ -182,12 +182,13 @@ def _finish(K: np.ndarray, y: np.ndarray, states: np.ndarray, config: SvrConfig)
     two_eps = 2.0 * eps
     states = states.copy()
     for rounds in range(1, _FINISH_ROUNDS + 1):
-        free = np.flatnonzero(states % 2)
+        bound = states % 2 == 0
+        free = np.flatnonzero(~bound)
         n = len(free)
         if n == 0 or 4 * n > l:
             return None
         sign = states[free]
-        beta = np.where(states % 2 == 0, 0.5 * C * states, 0.0)
+        beta = np.where(bound, 0.5 * C * states, 0.0)
         KB = K @ beta  # one product per round, rather than gathering K's free rows
         A = np.empty((n + 1, n + 1))
         A[:n, :n] = K[np.ix_(free, free)]

@@ -175,7 +175,8 @@ def cmd_train(args) -> int:
     svr.save_model(model, args.model_out)
     fits = [{"iterations": d.iterations, "converged": d.converged,
              "kkt_gap": d.kkt_gap, "n_support": d.n_support,
-             "finish_rounds": d.finish_rounds}
+             "finish_rounds": d.finish_rounds,
+             "finish_tries": d.finish_tries}
             for d in report.fold_fits + [model.diagnostics]]
 
     print(f"pooled R2   {report.r2:.4f}")

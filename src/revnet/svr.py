@@ -9,9 +9,10 @@ where Q is the signed RBF kernel block matrix and p = (eps - y, eps + y).
 Pairs are picked by maximal KKT violation with a second-order working-set
 choice for the partner, so the solve is deterministic.  The stopping rule is
 the standard gap m(a) - M(a) <= tol, which doubles as the KKT certificate.
-Once SMO has sorted most rows to their bounds, an exact finish solves the
-small block of free rows directly (an active-set step, as in Scheinberg,
-JMLR 7, 2006) and ends the fit when the result passes the same gap test.
+Once SMO has sorted most rows to their bounds, an exact finish takes over
+from SMO's betas: a primal active-set phase (as in Scheinberg, JMLR 7,
+2006) on the small block of free rows, which ends the fit when its end
+point passes the same gap test.
 
 Features are mean-imputed and z-scored with training statistics inside ``fit``;
 predictions apply the stored statistics, so models are self-contained.
@@ -64,7 +65,8 @@ class FitDiagnostics:
     kkt_gap: float
     train_beta: np.ndarray  # alpha - alpha* for every training row
     n_support: int
-    finish_rounds: int = 0  # linear solves of the finish that ended the fit
+    finish_rounds: int = 0  # steps of the finish that ended the fit, or 0
+    finish_tries: int = 0  # finish tries, successful or not
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,13 +139,17 @@ def _rbf(Z: np.ndarray, gamma: float) -> np.ndarray:
 
 # the exact finish: first tried once the SMO gap falls below _FINISH_GAP;
 # after a failed try, once it falls below _FINISH_BACKOFF times the gap at
-# that failure.  A try solves at most _FINISH_ROUNDS times, on at most a
-# quarter of the rows, and adds _FINISH_RIDGE to the free kernel block's
-# diagonal so that duplicate rows leave it solvable.
-_FINISH_GAP = 1.0
+# that failure.  A try takes at most l steps with at most a quarter of the
+# rows free, releases at most _FINISH_RELEASE bound rows at the end point
+# of each face, and adds _FINISH_RIDGE to the free kernel block's diagonal
+# so that duplicate rows leave it solvable.
+_FINISH_GAP = 0.3
 _FINISH_BACKOFF = 0.25
-_FINISH_ROUNDS = 12
+_FINISH_RELEASE = 4
 _FINISH_RIDGE = 1e-10
+# a rank-one update whose pivot is below this cancels entries of order
+# 1 / pivot and loses their digits; the inverse is computed afresh instead
+_FINISH_PIVOT = 1e-6
 
 
 def _set_masks(a: np.ndarray, C: float, two_eps: float):
@@ -165,73 +171,184 @@ def _row_states(a: np.ndarray, C: float) -> np.ndarray:
                      [2, 1, -2, -1], 0)
 
 
-def _finish(K: np.ndarray, y: np.ndarray, states: np.ndarray, config: SvrConfig):
-    """The exact finish from the row ``states`` of ``_row_states``.
+def _bordered(K: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """[[0, 1'], [1, K_FF + ridge]]: the free rows' bordered system, with
+    the bias first."""
+    n = len(free)
+    A = np.empty((n + 1, n + 1))
+    A[0, 0] = 0.0
+    A[0, 1:] = A[1:, 0] = 1.0
+    A[1:, 1:] = K[np.ix_(free, free)]
+    A[range(1, n + 1), range(1, n + 1)] += _FINISH_RIDGE
+    return A
 
-    Rows at +-C or 0 keep that beta; the free rows' betas and the bias b
-    solve the bordered system [[K_FF, 1], [1', 0]] [beta_F; b] =
-    [y_F - eps sign_F - (K beta_B)_F; -sum beta_B].  A free beta whose sign
-    flipped goes to 0 and one past +-C to that bound, and the block is
-    solved again.  Once no beta moves, the result is judged by ``_solve_smo``'s
-    gap over all 2l variables; when it fails, every bound row whose KKT
-    violation against b exceeds tol / 2 turns free with the matching sign.
-    Returns (a, F, rounds, gap) when the gap is at most tol, else None.
+
+class _BorderedInverse:
+    """The inverse of ``_bordered(K, free)`` while rows join and leave
+    ``free``, which holds at most a quarter of K's rows.
+
+    The inverse lives in one buffer of (l/4 + 1)^2 doubles.  ``drop`` moves
+    the last free row into the dropped row's place and downdates; ``add``
+    borders.  Each is one rank-one update, or a fresh inverse when its
+    pivot is below _FINISH_PIVOT.  LAPACK's LinAlgError passes through.
+    """
+
+    def __init__(self, K: np.ndarray, free: np.ndarray):
+        size = len(K) // 4 + 1
+        self.K = K
+        self.free = free
+        self.buf = np.empty((size, size))
+        self.invert()
+
+    def invert(self):
+        m = len(self.free) + 1
+        self.buf[:m, :m] = np.linalg.inv(_bordered(self.K, self.free))
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        m = len(self.free) + 1
+        return self.buf[:m, :m] @ rhs
+
+    def drop(self, k: int):
+        m = len(self.free)
+        inv = self.buf[:m + 1, :m + 1]
+        p = k + 1
+        row, column = inv[p].copy(), inv[:, p].copy()
+        corner = row[p]  # 1 / the dropped row's pivot
+        inv[p] = inv[m]
+        inv[:, p] = inv[:, m]
+        row[p], column[p] = row[m], column[m]
+        self.free[k] = self.free[m - 1]
+        self.free = self.free[:m - 1]
+        if 0.0 < corner * _FINISH_PIVOT < 1.0:
+            inv[:m, :m] -= np.outer(column[:m], row[:m] / corner)
+        else:
+            self.invert()
+
+    def add(self, j: int):
+        m = len(self.free) + 1
+        inv = self.buf[:m + 1, :m + 1]
+        u = np.append(1.0, self.K[j, self.free])
+        column, row = inv[:m, :m] @ u, u @ inv[:m, :m]
+        pivot = self.K[j, j] + _FINISH_RIDGE - u @ column
+        self.free = np.append(self.free, j)
+        if pivot < _FINISH_PIVOT:
+            self.invert()
+            return
+        column /= pivot
+        inv[:m, :m] += np.outer(column, row)
+        inv[:m, m] = -column
+        inv[m, :m] = row / -pivot
+        inv[m, m] = 1.0 / pivot
+
+
+def _finish(K: np.ndarray, y: np.ndarray, a: np.ndarray, config: SvrConfig):
+    """The exact finish: a primal active-set phase (Nocedal & Wright,
+    Numerical Optimization, 16.5) from SMO's feasible variables ``a``.
+
+    ``_row_states`` classes each row; bound rows keep 0 or +-C.  Each step
+    solves the bordered system [[0, 1'], [1, K_FF]] [b; beta_F] =
+    [-sum beta_B; y_F - eps sign_F - (K beta_B)_F] through its inverse and
+    moves beta_F toward the solution by the largest step that keeps each
+    free beta inside [0, C] on its sign's side.  The row that blocks the
+    step is pinned at the bound it reached.  At the end point of a face,
+    the bound rows whose KKT violation against b exceeds tol / 2 turn free
+    with the sign that reduces it, at most _FINISH_RELEASE of them, the
+    largest first.  The inverse follows each pin and release by a rank-one
+    update, and K beta_B by one kernel row.  An end point with no violator
+    is solved afresh and accepted when every free beta is on its sign's
+    side within [0, C], the gap over all 2l variables is at most tol and
+    |sum beta| <= 1e-9 C.  Returns (a, F, steps, gap) then, else None.
     """
     l = len(y)
     C, eps, tol = config.C, config.epsilon, config.tol
-    two_eps = 2.0 * eps
-    states = states.copy()
-    for rounds in range(1, _FINISH_ROUNDS + 1):
-        bound = states % 2 == 0
-        free = np.flatnonzero(~bound)
-        n = len(free)
-        if n == 0 or 4 * n > l:
-            return None
-        sign = states[free]
-        beta = np.where(bound, 0.5 * C * states, 0.0)
-        KB = K @ beta  # one product per round, rather than gathering K's free rows
-        A = np.empty((n + 1, n + 1))
-        A[:n, :n] = K[np.ix_(free, free)]
-        A[range(n), range(n)] += _FINISH_RIDGE
-        A[n, :n] = A[:n, n] = 1.0
-        A[n, n] = 0.0
-        rhs = np.append(y[free] - eps * sign - KB[free], -beta.sum())
-        try:
-            solution = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError:
-            return None
-        beta_f, bias = solution[:n], solution[n]
-        flipped = beta_f * sign <= 0
-        past = ~flipped & (np.abs(beta_f) > C)
-        if flipped.any() or past.any():
-            states[free[flipped]] = 0
-            states[free[past]] = 2 * sign[past]
-            continue
+    states = _row_states(a, C)
+    free = np.flatnonzero(states % 2)
+    if len(free) == 0 or 4 * len(free) > l:
+        return None
+    beta = np.where(states % 2 == 0, 0.5 * C * states, a[:l] - a[l:])
+    beta_b = np.where(states % 2 == 0, beta, 0.0)
+    KB = K @ beta_b
+    sum_b = float(beta_b.sum())
+    try:
+        inverse = _BorderedInverse(K, free)
+        for steps in range(1, l + 1):
+            free = inverse.free
+            sign = states[free]
+            solution = inverse.solve(
+                np.concatenate(([-sum_b], y[free] - eps * sign - KB[free])))
+            d = solution[1:] - beta[free]
+            # each free beta heads for 0 or its sign's bound; its room is
+            # the share of d it can take before reaching that
+            edge = np.where(d * sign > 0, C * sign, 0.0)
+            room = np.divide(edge - beta[free], d, out=np.full(len(d), np.inf),
+                             where=d != 0.0)
+            k = int(room.argmin())
+            if room[k] < 1.0:
+                beta[free] += max(room[k], 0.0) * d
+                j = free[k]
+                beta[j] = edge[k]
+                states[j] = 2 * sign[k] if edge[k] else 0
+                if edge[k]:
+                    KB += edge[k] * K[j]
+                    sum_b += edge[k]
+                if len(free) == 1:
+                    return None
+                inverse.drop(k)
+                continue
 
-        beta[free] = beta_f
-        a = np.concatenate([np.maximum(beta, 0.0), np.maximum(-beta, 0.0)])
-        F = K @ beta
-        up_add, low_add = _set_masks(a, C, two_eps)
-        s = (y - eps) - F
-        s2 = np.concatenate([s, s])
-        gap = float((s2 + up_add).max()) - float((s2 + low_add).min())
-        if gap <= tol:
-            return a, F, rounds, gap
-        # scores against b: s - b for alpha, s + 2 eps - b for alpha*
-        r = s - bias
-        grow_p = ((states == 0) & (r > tol / 2)) | ((states == 2) & (r < -tol / 2))
-        grow_m = (((states == 0) & (r + two_eps < -tol / 2))
-                  | ((states == -2) & (r + two_eps > tol / 2)))
-        if not (grow_p.any() or grow_m.any()):
-            return None
-        states[grow_p] = 1
-        states[grow_m] = -1
+            beta[free] = solution[1:]
+            # KKT violations of the bound rows against b, with r = y - f - b:
+            # |r| - eps at 0, eps - r at +C and eps + r at -C
+            r = y - (KB + beta[free] @ K[free]) - solution[0]
+            violation = np.where(states == 0, np.abs(r) - eps, eps - 0.5 * states * r)
+            violation[free] = -np.inf
+            grow = np.flatnonzero(violation > tol / 2)
+            if len(grow) == 0:
+                return _accept(K, y, states, free, config, steps)
+            grow = grow[np.argsort(-violation[grow], kind="stable")[:_FINISH_RELEASE]]
+            if 4 * (len(free) + len(grow)) > l:
+                return None
+            for j in grow:
+                # the sign that reduces the violation
+                states[j] = states[j] // 2 if states[j] else (1 if r[j] > 0 else -1)
+                if beta[j]:
+                    KB -= beta[j] * K[j]
+                    sum_b -= beta[j]
+                inverse.add(j)
+    except np.linalg.LinAlgError:
+        return None
     return None
+
+
+def _accept(K, y, states, free, config, steps):
+    """The finish's end point ``states`` solved afresh, as ``_finish``
+    returns it, or None when it fails a check."""
+    C, eps, tol = config.C, config.epsilon, config.tol
+    beta = np.where(states % 2 == 0, 0.5 * C * states, 0.0)
+    rhs = np.concatenate(([-beta.sum()], y[free] - eps * states[free] - (K @ beta)[free]))
+    try:
+        beta_f = np.linalg.solve(_bordered(K, free), rhs)[1:]
+    except np.linalg.LinAlgError:
+        return None
+    if not ((beta_f * states[free] > 0).all() and (np.abs(beta_f) <= C).all()):
+        return None
+    beta[free] = beta_f
+    if abs(beta.sum()) > 1e-9 * C:
+        return None
+    a = np.concatenate([np.maximum(beta, 0.0), np.maximum(-beta, 0.0)])
+    F = K @ beta
+    up_add, low_add = _set_masks(a, C, 2.0 * eps)
+    s = (y - eps) - F
+    s2 = np.concatenate([s, s])
+    gap = float((s2 + up_add).max()) - float((s2 + low_add).min())
+    if gap > tol:
+        return None
+    return a, F, steps, gap
 
 
 def _solve_smo(K: np.ndarray, y: np.ndarray, config: SvrConfig):
     """SMO on the paired dual with an exact finish.  Returns (beta, bias,
-    iters, converged, gap, finish_rounds).
+    iters, converged, gap, finish_rounds, finish_tries).
 
     Works on the 2l variables a = (alpha, alpha*), kept as Python floats,
     plus F = K beta.  The KKT scores are s = y - eps - F for the alpha half
@@ -248,11 +365,12 @@ def _solve_smo(K: np.ndarray, y: np.ndarray, config: SvrConfig):
     about half its rows, so the rows take about half the memory of the full
     l x l matrix and cost less to build.
 
-    When the gap falls below the next try's threshold, ``_finish`` solves
-    the free rows exactly, unless the row states equal those of the last
-    failed try.  A result that passes the gap test replaces a, F and the
-    masks and ends the fit; otherwise SMO carries on from where it stopped.  ``iters`` counts SMO steps only, and
-    ``finish_rounds`` is the successful finish's solve count, or 0.
+    When the gap falls below the next try's threshold, ``_finish`` starts
+    from a, unless the row states equal those of the last failed try.  A
+    result that passes its checks replaces a, F and the masks and ends the
+    fit; otherwise SMO carries on from where it stopped.  ``iters`` counts
+    SMO steps only, ``finish_rounds`` the successful finish's steps (or 0)
+    and ``finish_tries`` every call of ``_finish``.
     """
     l = len(y)
     C, eps, tol = config.C, config.epsilon, config.tol
@@ -273,7 +391,7 @@ def _solve_smo(K: np.ndarray, y: np.ndarray, config: SvrConfig):
 
     iters = 0
     gap = inf
-    finish_rounds = 0
+    finish_rounds = finish_tries = 0
     next_try, failed_states = _FINISH_GAP, None
     while iters < config.max_passes:
         np.subtract(y_eps, F, out=s_p)
@@ -286,9 +404,11 @@ def _solve_smo(K: np.ndarray, y: np.ndarray, config: SvrConfig):
         if gap <= tol:
             break
         if gap < next_try:
-            states = _row_states(np.array(a), C)
+            a_now = np.array(a)
+            states = _row_states(a_now, C)
             if failed_states is None or not np.array_equal(states, failed_states):
-                finished = _finish(K, y, states, config)
+                finish_tries += 1
+                finished = _finish(K, y, a_now, config)
                 if finished is not None:
                     a_new, F, finish_rounds, gap = finished
                     a = a_new.tolist()
@@ -356,7 +476,7 @@ def _solve_smo(K: np.ndarray, y: np.ndarray, config: SvrConfig):
         bias = float(np.mean(s2[free]))
     else:
         bias = float((up_s.max() + low_s.min()) / 2.0)
-    return beta, bias, iters, converged, float(gap), finish_rounds
+    return beta, bias, iters, converged, float(gap), finish_rounds, finish_tries
 
 
 def fit(X: np.ndarray, y: np.ndarray, config: SvrConfig,
@@ -400,7 +520,8 @@ def fit(X: np.ndarray, y: np.ndarray, config: SvrConfig,
     Z = (X - mean) / std
 
     K = _rbf(Z, config.gamma)
-    beta, bias, iters, converged, gap, finish_rounds = _solve_smo(K, y, config)
+    beta, bias, iters, converged, gap, finish_rounds, finish_tries = _solve_smo(
+        K, y, config)
     if not converged:
         warnings.warn(f"SMO solver stopped after {iters} iterations without "
                       f"converging: KKT gap {gap:.6g} > tol {config.tol:g}",
@@ -417,7 +538,7 @@ def fit(X: np.ndarray, y: np.ndarray, config: SvrConfig,
         feature_names=tuple(feature_names),
         impute_means=impute,
         diagnostics=FitDiagnostics(iters, converged, gap, beta, int(keep.sum()),
-                                   finish_rounds),
+                                   finish_rounds, finish_tries),
     )
 
 
@@ -429,6 +550,8 @@ def f_statistic(column: np.ndarray, targets: np.ndarray) -> float:
     when r is near 1.  Each column is centred twice: a mean rounded at the
     column's offset leaves a shift of up to an ulp of that offset, which
     the second pass removes, so a narrow column far from 0 keeps its F.
+    A constant column far from 0 can pass the spread test on that shift
+    alone; it centres to exact zeros, and its F is 0 as well.
     """
     x = np.asarray(column, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
@@ -443,11 +566,15 @@ def f_statistic(column: np.ndarray, targets: np.ndarray) -> float:
     xc -= xc.mean()
     yc = y - y.mean()
     yc -= yc.mean()
+    sxx = float(np.sum(xc * xc))
+    syy = float(np.sum(yc * yc))
+    if sxx == 0.0 or syy == 0.0:
+        return 0.0
     sxy = float(np.sum(xc * yc))
-    slope = sxy / float(np.sum(xc * xc))
+    slope = sxy / sxx
     residuals = yc - slope * xc
     sse = float(np.sum(residuals * residuals))
-    if sse <= 1e-15 * float(np.sum(yc * yc)):  # r^2 >= 1 - 1e-15
+    if sse <= 1e-15 * syy:  # r^2 >= 1 - 1e-15
         return math.inf
     return slope * sxy * (n - 2) / sse
 

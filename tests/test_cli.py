@@ -247,7 +247,7 @@ def test_features_train_predict_pipeline(workspace, capsys):
     assert len(doc["fits"]) == 6  # five folds, then the final fit
     for fit in doc["fits"]:
         assert set(fit) == {"iterations", "converged", "kkt_gap", "n_support",
-                            "finish_rounds"}
+                            "finish_rounds", "finish_tries"}
         assert fit["converged"] and fit["kkt_gap"] <= 1e-3
     assert doc["fits"][-1]["n_support"] == len(json.loads(model.read_text())["dual_coefs"])
     manifest = json.loads((workspace / "model.json.manifest.json").read_text())

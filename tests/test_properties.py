@@ -97,6 +97,8 @@ def test_empirical_cdf_is_a_cdf(values):
 @example([0.0, 0, 0, 0, 0, 0, 1, 0], [0.0, 0, 0, 0, 0, 0, 1, 1e-5])
 # a narrow column: the shifted column's mean rounds at 10, not at 1e-12
 @example([0.0, 0.0, 1e-12], [0.0, 1.0, 0.0])
+# a constant column whose spread, shifted, is one ulp of its offset
+@example([11.523629352558338] * 3, [0.0, 0.0, 1.0])
 def test_f_statistic_nonnegative_and_shift_invariant(xs, ys):
     n = min(len(xs), len(ys))
     x = np.array(xs[:n])

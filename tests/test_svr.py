@@ -158,7 +158,7 @@ def test_solver_matches_reference_bit_for_bit():
     seen = set()
     for kind, X, y, config in solver_problems():
         K = _rbf(X, config.gamma)
-        beta, bias, iters, converged, gap, finish_rounds = _solve_smo(K, y, config)
+        beta, bias, iters, converged, gap, finish_rounds, _ = _solve_smo(K, y, config)
         r_beta, r_bias, r_iters, r_converged, r_gap = reference_solve_smo(K, y, config)
         if finish_rounds == 0:
             assert beta.tobytes() == r_beta.tobytes(), kind
@@ -195,13 +195,18 @@ def test_solver_matches_reference_bit_for_bit():
                     "finish fired", "finish fired on duplicates"}
 
 
-def test_finish_converges_on_duplicate_network_like_rows():
-    # rows like a network-only feature matrix: skewed columns, a third of
-    # the rows repeating another row's features with a target of their own
-    rng = np.random.default_rng(0)
+def network_like_rows(seed=0):
+    """Rows like a network-only feature matrix: skewed columns, a third of
+    the rows repeating another row's features with a target of their own."""
+    rng = np.random.default_rng(seed)
     distinct = rng.lognormal(size=(320, 5))
     X = np.vstack([distinct, distinct[rng.integers(0, 320, size=160)]])
     y = np.log1p(X[:, :3].sum(axis=1)) + 0.3 * rng.normal(size=480)
+    return X, y
+
+
+def test_finish_converges_on_duplicate_network_like_rows():
+    X, y = network_like_rows()
     config = SvrConfig(C=100.0, gamma=0.01)
     model = fit(X, y, config)
     assert len(np.unique(X, axis=0)) < 0.7 * len(X)
@@ -212,9 +217,48 @@ def test_finish_converges_on_duplicate_network_like_rows():
     assert as_bytes(again.bias) == as_bytes(model.bias)
 
 
+# at seed 1, a fold's finish meets a pivot below _FINISH_PIVOT, where a
+# rank-one update of the bordered inverse would lose the digits it needs
+@pytest.mark.parametrize("seed", [0, 1])
+def test_finish_ends_each_network_like_fit_on_its_first_try(seed):
+    X, y = network_like_rows(seed)
+    config = SvrConfig(C=100.0, gamma=0.01)
+    report = cross_validate(X, y, config, k=5)
+    model = fit(X, y, config)
+    for diagnostics in report.fold_fits + [model.diagnostics]:
+        assert diagnostics.converged and diagnostics.finish_rounds > 0
+        assert diagnostics.finish_tries == 1
+    assert reference_kkt_max_violation(model, X, y) <= config.tol
+
+
+def test_finish_rejects_an_end_point_off_the_sum_constraint(monkeypatch):
+    # a fresh solve that moves one free beta by 1e-7 C breaks sum beta = 0
+    # while the gap stays within tol; the finish must hand such a point
+    # back to SMO
+    X, y = network_like_rows()
+    config = SvrConfig(C=100.0, gamma=0.01)
+    solves = []
+    real_solve = np.linalg.solve
+
+    def shifted(A, b):
+        x = real_solve(A, b)
+        i = 1 + int(np.abs(x[1:]).argmax())
+        x[i] -= np.sign(x[i]) * 1e-7 * config.C
+        solves.append(i)
+        return x
+
+    monkeypatch.setattr(np.linalg, "solve", shifted)
+    model = fit(X, y, config)
+    diagnostics = model.diagnostics
+    assert solves and diagnostics.finish_tries > 0 and diagnostics.finish_rounds == 0
+    assert diagnostics.converged
+    assert abs(diagnostics.train_beta.sum()) <= 1e-9 * config.C
+
+
 def test_finish_solves_a_free_block_holding_equal_rows():
     # SMO leaves one copy of a repeated row free and the other at a bound;
-    # marking both free makes K_FF singular, which the ridge must absorb
+    # splitting the free copy's beta with the bound copy keeps the point
+    # but makes both free, so K_FF is singular, which the ridge must absorb
     X, y = random_problem(5, n=200, noise=1.0)
     X, y = np.vstack([X, X[:40]]), np.concatenate([y, y[:40]])
     config = SvrConfig(C=1.0, gamma=0.5, epsilon=0.1)
@@ -223,9 +267,14 @@ def test_finish_solves_a_free_block_holding_equal_rows():
     states = _row_states(np.concatenate([np.maximum(beta, 0.0), np.maximum(-beta, 0.0)]),
                          config.C)
     twins = np.flatnonzero(states[:40] % 2)
+    split = (beta[twins] + beta[200 + twins]) / 2
+    keep = split * states[twins] > 1e-8 * config.C
+    twins, split = twins[keep], split[keep]
     assert len(twins) >= 5
-    states[200 + twins] = states[twins]
-    a, F, rounds, gap = _finish(K, y, states, config)
+    beta[twins] = beta[200 + twins] = split
+    a = np.concatenate([np.maximum(beta, 0.0), np.maximum(-beta, 0.0)])
+    assert (_row_states(a, config.C)[200 + twins] % 2).all()
+    a, F, rounds, gap = _finish(K, y, a, config)
     assert gap <= config.tol
     assert np.array_equal(F, K @ (a[:240] - a[240:]))
 
@@ -236,12 +285,14 @@ def test_finish_skips_a_free_block_over_a_quarter_of_the_rows(monkeypatch):
     y = 10.0 * y
     config = SvrConfig(C=1000.0, gamma=0.5, epsilon=0.01)
     K = _rbf(X, config.gamma)
-    solves = []
-    real_solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve",
-                        lambda A, b: solves.append(len(A)) or real_solve(A, b))
-    beta, bias, iters, converged, gap, finish_rounds = _solve_smo(K, y, config)
-    assert (solves, finish_rounds) == ([], 0)
+    calls = []
+    for name in ("inv", "solve"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *args, name=name, real=real:
+                            calls.append(name) or real(*args))
+    beta, bias, iters, converged, gap, finish_rounds, finish_tries = _solve_smo(
+        K, y, config)
+    assert (calls, finish_rounds) == ([], 0) and finish_tries > 0
     assert converged and gap <= config.tol
     assert np.count_nonzero((beta != 0) & (np.abs(beta) < config.C)) > len(y) / 4
     r_beta, r_bias, r_iters, _, _ = reference_solve_smo(K, y, config)

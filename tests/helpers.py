@@ -10,14 +10,16 @@ supporting-feature forms, their results on hypothesis logs and texts the
 digest corpora never hold; ``reference_report_text``, the generator's draws
 on any stream; ``reference_solve_smo``, SMO bit for bit until the exact
 finish fires, since the digests leave models out.
-``reference_kkt_max_violation`` and ``reference_impute`` are oracles of
-their own.
+``reference_kkt_max_violation``, ``reference_svr_optimum`` (the SVR dual's
+optimum by enumeration of row states) and ``reference_impute`` are oracles
+of their own.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import importlib.util
+import itertools
 import json
 import math
 import random
@@ -754,6 +756,99 @@ def spearman(x, y) -> float:
 
 
 # -- SVR oracles -------------------------------------------------------------
+
+
+def _grid(choices, n: int) -> np.ndarray:
+    """Every length-n sequence of ``choices``, one per row."""
+    return np.array(list(itertools.product(choices, repeat=n))).reshape(len(choices) ** n, n)
+
+
+def reference_svr_optimum(K: np.ndarray, y: np.ndarray, C: float, eps: float,
+                          tol: float = 1e-10):
+    """The optimum of the epsilon-SVR dual
+
+        min 1/2 beta' K beta - y' beta + eps |beta|_1
+        s.t. sum beta = 0,  -C <= beta <= C
+
+    found by enumerating each row's state: at -C, free and negative, at 0,
+    free and positive, or at +C (5^l state vectors, so l <= 6 or so).  For
+    each free set F the bordered system
+
+        [[K_FF, 1], [1', 0]] [beta_F; b] = [y_F - eps sign_F - K_FB beta_B; -sum beta_B]
+
+    is solved for every sign of F and every bound value of the other rows
+    B at once.  A state vector is kept when each free beta lies on its
+    sign's side within [-C, C] and each bound row meets its KKT condition
+    with r = y - K beta - b: |r| <= eps at 0, r >= eps at +C, r <= -eps at
+    -C, each within ``tol`` (``tol`` C for a beta).  Those conditions are
+    sufficient for the convex dual, so every kept vector is an optimum;
+    the one with the smallest objective is returned.  A free set whose
+    bordered matrix is singular is skipped: moving along its null
+    direction keeps K beta, sum beta and the objective until a free beta
+    reaches a bound, so some optimum has a nonsingular one.  With no free
+    row, b is any value its bound rows allow.
+
+    Returns (beta, objective, bias_lo, bias_hi): [bias_lo, bias_hi] holds
+    every bias that meets the KKT conditions at that beta, one point when a
+    row is free.
+    """
+    K = np.asarray(K, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    l = len(y)
+    best = None
+    for free_mask in itertools.product((False, True), repeat=l):
+        F = np.flatnonzero(free_mask)
+        B = np.flatnonzero(np.logical_not(free_mask))
+        values = C * _grid((-1.0, 0.0, 1.0), len(B))
+        signs = _grid((-1.0, 1.0), len(F))
+        beta = np.zeros((len(values), len(signs), l))
+        beta[:, :, B] = values[:, None, :]
+        if len(F):
+            M = np.ones((len(F) + 1, len(F) + 1))
+            M[:-1, :-1] = K[np.ix_(F, F)]
+            M[-1, -1] = 0.0
+            if np.linalg.cond(M) > 1e12:
+                continue
+            rhs = np.empty((len(values), len(signs), len(F) + 1))
+            rhs[..., :-1] = y[F] - eps * signs - (values @ K[np.ix_(B, F)])[:, None, :]
+            rhs[..., -1] = -values.sum(axis=1)[:, None]
+            solution = rhs @ np.linalg.inv(M).T
+            beta_f, bias = solution[..., :-1], solution[..., -1]
+            beta[:, :, F] = beta_f
+            ok = ((beta_f * signs >= -tol * C) & (np.abs(beta_f) <= C + tol * C)).all(axis=2)
+            r = y - beta @ K - bias[..., None]
+        else:
+            # every row bound: b is the middle of what the rows allow (both
+            # ends are finite, as sum beta = 0 pairs a +C with a -C)
+            ok = np.abs(values.sum(axis=1))[:, None] <= tol * C
+            r = y - beta @ K
+            lo = np.where(beta < 0.0, r + eps, np.where(beta == 0.0, r - eps, -np.inf))
+            hi = np.where(beta > 0.0, r - eps, np.where(beta == 0.0, r + eps, np.inf))
+            r -= (lo.max(axis=2) + hi.min(axis=2))[..., None] / 2.0
+        bound, r = beta[:, :, B], r[:, :, B]
+        violation = np.where(bound > 0.0, eps - r,
+                             np.where(bound < 0.0, eps + r, np.abs(r) - eps))
+        ok &= violation.max(axis=2, initial=-np.inf) <= tol
+        for v, s in zip(*np.nonzero(ok)):
+            b = beta[v, s]
+            objective = 0.5 * b @ K @ b - y @ b + eps * np.abs(b).sum()
+            if best is None or objective < best[1]:
+                best = (b.copy(), float(objective))
+    if best is None:
+        raise AssertionError("no state vector meets the KKT conditions")
+    beta, objective = best
+    # every bias that the KKT conditions allow at beta
+    r0 = y - K @ beta
+    near = 1e-9 * C
+    at_zero, at_upper, at_lower = (np.abs(beta) <= near, beta >= C - near,
+                                   beta <= near - C)
+    free = ~(at_zero | at_upper | at_lower)
+    sign = np.sign(beta)
+    lo = np.concatenate([r0[at_zero] - eps, r0[at_lower] + eps,
+                         r0[free] - eps * sign[free], [-np.inf]]).max()
+    hi = np.concatenate([r0[at_zero] + eps, r0[at_upper] - eps,
+                         r0[free] - eps * sign[free], [np.inf]]).min()
+    return beta, objective, float(lo), float(hi)
 
 
 def reference_solve_smo(K: np.ndarray, y: np.ndarray, config):

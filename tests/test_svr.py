@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 from helpers import (reference_impute, reference_kkt_max_violation,
-                     reference_solve_smo)
-from revnet.svr import (_RBF_BLOCK, EvalReport, SvrConfig, _finish, _r2, _rbf,
+                     reference_solve_smo, reference_svr_optimum)
+from revnet.svr import (_RBF_BLOCK, EvalReport, SvrConfig, _accept, _finish, _r2, _rbf,
                         _row_states, _solve_smo, cross_validate, f_statistic, fit,
                         load_model, save_model)
 
@@ -193,6 +194,158 @@ def test_solver_matches_reference_bit_for_bit():
             seen.add("mostly at C")
     assert seen == {"cap hit", "at bound", "few SVs", "gap -0.0", "mostly at C",
                     "finish fired", "finish fired on duplicates"}
+
+
+def oracle_problems():
+    """Problems of at most six rows, so that ``reference_svr_optimum`` can
+    enumerate their row states, each with a named twist; tol 1e-10."""
+    for seed in range(24):
+        rng = np.random.default_rng(200 + seed)
+        n, d = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+        X = rng.normal(size=(n, d))
+        y = np.sin(X[:, 0]) + 0.3 * rng.normal(size=n)
+        config = SvrConfig(C=float(rng.choice([1.0, 10.0, 100.0])),
+                           gamma=float(rng.uniform(0.05, 2.0)),
+                           epsilon=float(rng.choice([0.0, 0.05, 0.1])), tol=1e-10)
+        kind = ("plain", "duplicates", "constant", "small_C", "large_eps",
+                "capped")[seed % 6]
+        if kind == "duplicates":
+            # every row twice, with the same target or a target of its own
+            m = min(n, 3)
+            X = np.vstack([X[:m], X[:m]])
+            y = np.concatenate([y[:m], y[:m] + (seed % 4 == 1) * rng.normal(size=m)])
+        elif kind == "constant":
+            y = np.full(len(y), float(rng.normal()))
+        elif kind == "small_C":
+            config = dataclasses.replace(config, C=0.01)
+        elif kind == "large_eps":
+            config = dataclasses.replace(config, epsilon=1.0)
+        elif kind == "capped":
+            config = dataclasses.replace(config, max_passes=int(rng.integers(1, 3)))
+        yield kind, X, y, config
+    rng = np.random.default_rng(7)
+    # a constant target of signed zeros: the gap is exactly zero, with a sign
+    yield ("signed_zero", rng.normal(size=(6, 2)),
+           np.array([-0.0, 0.0, 0.0, -0.0, -0.0, 0.0]), SvrConfig(epsilon=0.0, tol=1e-10))
+    # the benchmark's hyperparameters on targets wide enough that most
+    # betas end at +-C, as they do on the benchmark's corpora
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(6, 5))
+    yield ("bench_like", X, np.sin(X[:, 0]) + 10.0 * rng.normal(size=6),
+           SvrConfig(C=100.0, gamma=0.01, epsilon=0.1, tol=1e-10))
+
+
+def standardized_kernel(X, gamma):
+    """fit's kernel, by explicit pairwise distances of the z-scored rows."""
+    std = X.std(axis=0)
+    Z = (X - X.mean(axis=0)) / np.where(std < 1e-12, 1.0, std)
+    diff = Z[:, None, :] - Z[None, :, :]
+    return np.exp(-gamma * np.sum(diff * diff, axis=2))
+
+
+def as_split(beta):
+    return np.concatenate([np.maximum(beta, 0.0), np.maximum(-beta, 0.0)])
+
+
+def assert_at_optimum(K, y, beta, bias, config, optimum, kind, atol=1e-8):
+    """``beta`` and ``bias`` (unless None) match the enumerated optimum
+    within ``atol``: beta itself where ``K`` is nonsingular, else the
+    objective and the fitted values."""
+    beta_o, objective, bias_lo, bias_hi = optimum
+    assert np.abs(beta).max(initial=0.0) <= config.C, kind
+    assert abs(beta.sum()) <= 1e-9 * config.C, kind
+    assert abs(dual_objective(K, y, beta, config.epsilon) - objective) <= atol, kind
+    assert np.abs(K @ beta - K @ beta_o).max() <= atol, kind
+    assert bias is None or bias_lo - atol <= bias <= bias_hi + atol, kind
+    if kind != "duplicates":
+        assert np.abs(beta - beta_o).max() <= atol, kind
+
+
+def test_fit_reaches_the_enumerated_optimum():
+    """``fit`` at tol 1e-10 against the optimum that
+    ``reference_svr_optimum`` finds by enumeration."""
+    seen = set()
+    for kind, X, y, config in oracle_problems():
+        K = standardized_kernel(X, config.gamma)
+        optimum = reference_svr_optimum(K, y, config.C, config.epsilon)
+        beta_o = optimum[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            model = fit(X, y, config)
+        diagnostics, beta = model.diagnostics, model.diagnostics.train_beta
+        if diagnostics.converged:
+            assert_at_optimum(K, y, beta, model.bias, config, optimum, kind)
+        else:
+            assert diagnostics.iterations == config.max_passes, kind
+            assert np.abs(beta).max() <= config.C, kind
+            assert abs(beta.sum()) <= 1e-9 * config.C, kind
+            assert (dual_objective(K, y, beta, config.epsilon)
+                    > optimum[1] + config.tol), kind
+            seen.add("cap hit")
+        if kind == "small_C" and np.any(np.abs(beta_o) >= config.C * (1 - 1e-9)):
+            seen.add("at bound")
+        if kind == "large_eps" and np.count_nonzero(beta_o) < len(y) // 2:
+            seen.add("few SVs")
+        if kind == "signed_zero" and as_bytes(diagnostics.kkt_gap) == as_bytes(-0.0):
+            seen.add("gap -0.0")
+        if kind == "bench_like" and np.mean(np.abs(beta_o) >= config.C * (1 - 1e-9)) > 0.5:
+            seen.add("mostly at C")
+        if kind == "duplicates" and np.abs(beta - beta_o).max() > 1e-3:
+            seen.add("another optimum of a singular K")
+    assert seen == {"cap hit", "at bound", "few SVs", "gap -0.0", "mostly at C",
+                    "another optimum of a singular K"}
+
+
+def test_finish_ends_at_the_enumerated_optimum():
+    """The finish's two halves against the enumerated optimum: ``_finish``
+    started there ends there, and ``_accept`` takes the optimum's row
+    states and no neighbour (one row's state changed) that is not optimal.
+
+    At tol 1e-7: the 1e-10 ridge on K_FF moves a solved point by about
+    1e-10 C, so at a tol near that ``_accept`` rejects the optimum itself.
+    With one free row, sum beta = 0 puts its beta at a multiple of C, so
+    the finish (at most a quarter of the rows free) needs eight rows for
+    an optimum with two free rows."""
+    def problems():
+        for kind, X, y, config in oracle_problems():
+            yield kind, X, y, dataclasses.replace(config, tol=1e-7, max_passes=500_000)
+        for seed in (7, 8):
+            rng = np.random.default_rng(seed)
+            X = rng.normal(size=(8, 2))
+            yield ("eight_rows", X, np.sin(X[:, 0]) + rng.normal(size=8),
+                   SvrConfig(C=1.0, gamma=0.5, epsilon=0.1, tol=1e-7))
+
+    seen = set()
+    for kind, X, y, config in problems():
+        K = standardized_kernel(X, config.gamma)
+        optimum = reference_svr_optimum(K, y, config.C, config.epsilon)
+        atol = 1e-8 * max(config.C, 1.0)
+        l = len(y)
+
+        def check(accepted):
+            a, F = accepted[:2]
+            assert np.array_equal(F, K @ (a[:l] - a[l:])), kind
+            assert_at_optimum(K, y, a[:l] - a[l:], None, config, optimum, kind, atol)
+
+        states = _row_states(as_split(optimum[0]), config.C)
+        free = np.flatnonzero(states % 2)
+        if len(free):
+            check(_accept(K, y, states, free, config, 1))
+        if 1 <= len(free) <= l / 4:
+            finished = _finish(K, y, as_split(optimum[0]), config)
+            assert finished is not None, kind
+            check(finished)
+            seen.add("finished")
+        for i, state in itertools.product(range(l), range(-2, 3)):
+            neighbour = states.copy()
+            neighbour[i] = state
+            free = np.flatnonzero(neighbour % 2)
+            accepted = _accept(K, y, neighbour, free, config, 1) if len(free) else None
+            if accepted is None:
+                seen.add("rejected")
+            else:
+                check(accepted)
+    assert seen == {"finished", "rejected"}
 
 
 def network_like_rows(seed=0):

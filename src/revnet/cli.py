@@ -169,9 +169,13 @@ def cmd_train(args) -> int:
     names = NETWORK_FEATURES if args.network_only else FEATURE_NAMES
     X = _columns(matrix, names)
 
-    report = svr.cross_validate(X, matrix.y, config, k=args.folds,
-                                feature_names=names)
+    # the final fit runs first, from zero, and each CV fold starts from
+    # its betas; so the fold count is checked before any fit
+    svr.check_folds(X, matrix.y, args.folds)
     model = svr.fit(X, matrix.y, config, names)
+    report = svr.cross_validate(X, matrix.y, config, k=args.folds,
+                                feature_names=names,
+                                start=model.diagnostics.train_beta)
     svr.save_model(model, args.model_out)
     fits = [{"iterations": d.iterations, "converged": d.converged,
              "kkt_gap": d.kkt_gap, "n_support": d.n_support,

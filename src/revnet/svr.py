@@ -346,9 +346,11 @@ def _accept(K, y, states, free, config, steps):
     return a, F, steps, gap
 
 
-def _solve_smo(K: np.ndarray, y: np.ndarray, config: SvrConfig):
-    """SMO on the paired dual with an exact finish.  Returns (beta, bias,
-    iters, converged, gap, finish_rounds, finish_tries).
+def _solve_smo(K: np.ndarray, y: np.ndarray, config: SvrConfig,
+               start: Optional[np.ndarray] = None):
+    """SMO on the paired dual with an exact finish, from zero or from the
+    feasible betas ``start``.  Returns (beta, bias, iters, converged, gap,
+    finish_rounds, finish_tries).
 
     Works on the 2l variables a = (alpha, alpha*), kept as Python floats,
     plus F = K beta.  The KKT scores are s = y - eps - F for the alpha half
@@ -380,9 +382,13 @@ def _solve_smo(K: np.ndarray, y: np.ndarray, config: SvrConfig):
     curvature = {}  # i -> a_i, for each i picked so far
 
     y_eps = y - eps
-    F = np.zeros(l)
-    a = [0.0] * (2 * l)
-    up_add, low_add = _set_masks(np.zeros(2 * l), C, two_eps)
+    if start is None:
+        a0, F = np.zeros(2 * l), np.zeros(l)
+    else:
+        a0 = np.concatenate([np.maximum(start, 0.0), np.maximum(-start, 0.0)])
+        F = K @ start
+    a = a0.tolist()
+    up_add, low_add = _set_masks(a0, C, two_eps)
     # s stored twice: contiguous adds are cheaper than broadcast ones
     s2, up_s, low_s, obj = (np.empty(2 * l) for _ in range(4))
     s_p, s_m = s2[:l], s2[l:]
@@ -479,8 +485,27 @@ def _solve_smo(K: np.ndarray, y: np.ndarray, config: SvrConfig):
     return beta, bias, iters, converged, float(gap), finish_rounds, finish_tries
 
 
+def _check_start(start, rows: int, C: float) -> np.ndarray:
+    """``start`` as a float array, or ValueError naming the rule it breaks:
+    one finite beta per row, each within [-C, C], summing to 0 within
+    1e-9 C."""
+    start = np.asarray(start, dtype=np.float64)
+    if start.shape != (rows,):
+        raise ValueError(f"start must hold one beta per row: expected shape "
+                         f"({rows},), got {start.shape}")
+    if not np.isfinite(start).all():
+        raise ValueError("start must hold finite betas only")
+    if np.abs(start).max(initial=0.0) > C:
+        raise ValueError(f"start betas must lie within [-C, C] for C = {C:g}")
+    if abs(float(start.sum())) > 1e-9 * C:
+        raise ValueError(f"start betas must sum to 0 within 1e-9 C; they sum "
+                         f"to {float(start.sum()):.6g}")
+    return start
+
+
 def fit(X: np.ndarray, y: np.ndarray, config: SvrConfig,
-        feature_names: Optional[tuple[str, ...]] = None) -> SvrModel:
+        feature_names: Optional[tuple[str, ...]] = None,
+        start: Optional[np.ndarray] = None) -> SvrModel:
     """Impute, standardize, solve the dual, and package the model.
 
     ``X`` needs at least 2 rows and no infinite cell, and ``feature_names``
@@ -488,7 +513,10 @@ def fit(X: np.ndarray, y: np.ndarray, config: SvrConfig,
     filled with their column's mean (0 for an all-NaN column), kept as the
     model's ``impute_means`` for the rows it predicts.  A column whose mean or
     standard deviation overflows (cells near 1e308, or spread past about
-    1e154) is rejected by name.
+    1e154) is rejected by name.  The solver starts from zero, or from the
+    betas ``start``: one per row, finite, within [-C, C] and summing to 0
+    within 1e-9 C, else ValueError.  A start moves where, within tol of
+    the optimum, the solver stops, not the problem it solves.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -501,6 +529,8 @@ def fit(X: np.ndarray, y: np.ndarray, config: SvrConfig,
     if len(feature_names) != X.shape[1] or len(set(feature_names)) != X.shape[1]:
         raise ValueError(f"feature_names must be {X.shape[1]} distinct names, "
                          f"got {tuple(feature_names)}")
+    if start is not None:
+        start = _check_start(start, len(X), config.C)
 
     impute = _column_means(X)
     X = _fill(X, impute)
@@ -521,7 +551,7 @@ def fit(X: np.ndarray, y: np.ndarray, config: SvrConfig,
 
     K = _rbf(Z, config.gamma)
     beta, bias, iters, converged, gap, finish_rounds, finish_tries = _solve_smo(
-        K, y, config)
+        K, y, config, start)
     if not converged:
         warnings.warn(f"SMO solver stopped after {iters} iterations without "
                       f"converging: KKT gap {gap:.6g} > tol {config.tol:g}",
@@ -589,16 +619,9 @@ class EvalReport:
     fold_fits: list[FitDiagnostics]
 
 
-def cross_validate(X: np.ndarray, y: np.ndarray, config: SvrConfig,
-                   k: int = 10,
-                   feature_names: Optional[tuple[str, ...]] = None) -> EvalReport:
-    """k-fold CV over a shuffle seeded by ``config.seed``.
-
-    Pooled R^2 and RMSE are computed over the concatenated held-out
-    predictions; F-statistics use the full matrix, mean-imputed.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+def check_folds(X: np.ndarray, y: np.ndarray, k: int) -> None:
+    """ValueError unless ``cross_validate`` can split ``X`` and ``y`` into
+    ``k`` folds: finite targets, no infinite feature and 2 <= k <= rows."""
     if np.isinf(X).any() or not np.isfinite(y).all():
         raise ValueError("cross_validate requires finite targets and features "
                          "(NaN features are imputed per fold)")
@@ -606,6 +629,42 @@ def cross_validate(X: np.ndarray, y: np.ndarray, config: SvrConfig,
         raise ValueError("k must be >= 2")
     if len(X) < k:
         raise ValueError(f"k={k} exceeds the {len(X)} available rows")
+
+
+def _fold_start(beta: np.ndarray) -> np.ndarray:
+    """``beta`` with the side whose sum is in surplus shrunk in proportion,
+    so that it sums to 0; each beta keeps its sign and shrinks or stays."""
+    beta = beta.copy()
+    positive, negative = beta > 0.0, beta < 0.0
+    up, down = float(beta[positive].sum()), -float(beta[negative].sum())
+    if up > down:
+        beta[positive] *= down / up
+    elif down > up:
+        beta[negative] *= up / down
+    return beta
+
+
+def cross_validate(X: np.ndarray, y: np.ndarray, config: SvrConfig,
+                   k: int = 10,
+                   feature_names: Optional[tuple[str, ...]] = None,
+                   start: Optional[np.ndarray] = None) -> EvalReport:
+    """k-fold CV over a shuffle seeded by ``config.seed``.
+
+    Each fold's fit starts from zero, or, given ``start`` (the betas of a
+    fit on every row, as ``fit`` checks a start), from its training rows'
+    betas with the side in surplus shrunk so that they sum to 0 (alpha
+    seeding: DeCoste & Wagstaff, KDD 2000).  Such a start comes from a fit
+    that saw the fold's held-out targets; the fold still solves its own
+    dual to its own tol, so the start only moves where, within tol of the
+    optimum, the fold stops.  Pooled R^2 and RMSE are computed over the
+    concatenated held-out predictions; F-statistics use the full matrix,
+    mean-imputed.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    check_folds(X, y, k)
+    if start is not None:
+        start = _check_start(start, len(X), config.C)
 
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(X))
@@ -615,7 +674,8 @@ def cross_validate(X: np.ndarray, y: np.ndarray, config: SvrConfig,
     fold_r2, fold_rmse, fold_fits = [], [], []
     for test_idx in folds:
         train_idx = np.setdiff1d(order, test_idx, assume_unique=True)
-        model = fit(X[train_idx], y[train_idx], config, feature_names)
+        fold_start = None if start is None else _fold_start(start[train_idx])
+        model = fit(X[train_idx], y[train_idx], config, feature_names, fold_start)
         p = model.predict(X[test_idx])
         preds[test_idx] = p
         fold_fits.append(model.diagnostics)

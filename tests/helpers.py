@@ -8,8 +8,7 @@ pin what nothing else does: the loader's, the wording and order of
 diagnostics; the profile and irregular-case rescans and the text and
 supporting-feature forms, their results on hypothesis logs and texts the
 digest corpora never hold; ``reference_report_text``, the generator's draws
-on any stream; ``reference_solve_smo``, SMO bit for bit until the exact
-finish fires, since the digests leave models out.
+on any stream.
 ``reference_kkt_max_violation``, ``reference_svr_optimum`` (the SVR dual's
 optimum by enumeration of row states) and ``reference_impute`` are oracles
 of their own.
@@ -849,101 +848,6 @@ def reference_svr_optimum(K: np.ndarray, y: np.ndarray, C: float, eps: float,
     hi = np.concatenate([r0[at_zero] + eps, r0[at_upper] - eps,
                          r0[free] - eps * sign[free], [np.inf]]).min()
     return beta, objective, float(lo), float(hi)
-
-
-def reference_solve_smo(K: np.ndarray, y: np.ndarray, config):
-    """SMO on the paired dual.  Returns (beta, bias, iters, converged, gap).
-
-    The reference form of ``revnet.svr._solve_smo``: the same pair choice,
-    step and ``F`` update, written with a fresh masked copy of every score
-    array per iteration.  The package solver matches it bit for bit until
-    the finish fires.
-
-    Internally tracks alpha and alpha* separately plus F = K beta.  The KKT
-    scores collapse to s = y - eps - F for the alpha side and s + 2 eps for
-    the alpha* side; both pair updates move beta_i by +t and beta_j by -t.
-    """
-    l = len(y)
-    C, eps, tol = config.C, config.epsilon, config.tol
-    alpha = np.zeros(l)
-    alpha_star = np.zeros(l)
-    F = np.zeros(l)
-    diag = np.ascontiguousarray(np.diag(K))
-    two_eps = 2.0 * eps
-    inf = np.inf
-
-    iters = 0
-    gap = inf
-    while iters < config.max_passes:
-        sp = y - eps - F
-        up_p = np.where(alpha < C, sp, -inf)
-        up_m = np.where(alpha_star > 0, sp + two_eps, -inf)
-        ip = int(np.argmax(up_p))
-        im = int(np.argmax(up_m))
-        if up_m[im] > up_p[ip]:
-            i, m, side_i = im, up_m[im], -1
-        else:
-            i, m, side_i = ip, up_p[ip], 1
-
-        low_p = np.where(alpha > 0, sp, inf)
-        low_m = np.where(alpha_star < C, sp + two_eps, inf)
-        M = min(low_p.min(), low_m.min())
-        gap = m - M
-        if gap <= tol:
-            break
-
-        # second-order partner choice among violators (libsvm WSS2)
-        Ki = K[i]
-        a_t = np.maximum(diag[i] + diag - 2.0 * Ki, 1e-12)
-        b_p = m - low_p
-        b_m = m - low_m
-        obj_p = np.where(b_p > 0, -(b_p * b_p) / a_t, inf)
-        obj_m = np.where(b_m > 0, -(b_m * b_m) / a_t, inf)
-        jp = int(np.argmin(obj_p))
-        jm = int(np.argmin(obj_m))
-        if obj_m[jm] < obj_p[jp]:
-            j, score_j, side_j = jm, low_m[jm], -1
-        else:
-            j, score_j, side_j = jp, low_p[jp], 1
-        if not np.isfinite(score_j):
-            break
-
-        quad = max(diag[i] + diag[j] - 2.0 * Ki[j], 1e-12)
-        t = (m - score_j) / quad
-        # clip so all four variables stay inside [0, C]
-        t = min(t, C - alpha[i] if side_i > 0 else alpha_star[i])
-        t = min(t, alpha[j] if side_j > 0 else C - alpha_star[j])
-        if t <= 0:
-            break
-        if side_i > 0:
-            alpha[i] += t
-        else:
-            alpha_star[i] -= t
-        if side_j > 0:
-            alpha[j] -= t
-        else:
-            alpha_star[j] += t
-        F += t * Ki
-        F -= t * K[j]
-        iters += 1
-
-    converged = gap <= tol
-    beta = alpha - alpha_star
-
-    # bias from free variables; fall back to the midpoint of the KKT bounds
-    sp = y - eps - F
-    free_p = (alpha > 1e-12) & (alpha < C - 1e-12)
-    free_m = (alpha_star > 1e-12) & (alpha_star < C - 1e-12)
-    free_scores = np.concatenate([sp[free_p], sp[free_m] + two_eps])
-    if len(free_scores):
-        bias = float(np.mean(free_scores))
-    else:
-        hi = max(np.where(alpha < C, sp, -inf).max(),
-                 np.where(alpha_star > 0, sp + two_eps, -inf).max())
-        lo = min(np.where(alpha > 0, sp, inf).min(),
-                 np.where(alpha_star < C, sp + two_eps, inf).min())
-        bias = float((hi + lo) / 2.0)
-    return beta, bias, iters, converged, float(gap)
 
 
 def reference_kkt_max_violation(model, X: np.ndarray, y: np.ndarray) -> float:

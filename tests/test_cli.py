@@ -320,6 +320,47 @@ def test_train_rejects_infinite_cell_before_fitting(tmp_path, capsys, monkeypatc
     assert not (tmp_path / "model.json").exists()
 
 
+@pytest.mark.parametrize("folds", ["1", "13"])
+def test_train_rejects_a_bad_fold_count_before_any_fit(tmp_path, capsys, monkeypatch,
+                                                        folds):
+    # the final fit runs before the folds, so the count is checked first
+    rng = np.random.default_rng(2)
+    feat_csv = tmp_path / "features.csv"
+    write_features(feat_csv, [feature_row(f"p{i}", [str(v) for v in rng.normal(size=14)])
+                              for i in range(12)])
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit must not run with a bad fold count")
+
+    monkeypatch.setattr(svr, "fit", no_fit)
+    model, report = tmp_path / "model.json", tmp_path / "report.json"
+    code, out, err = run(capsys, "train", str(feat_csv), str(model), "--folds", folds,
+                         "--report-out", str(report))
+    assert code == EXIT_USAGE
+    assert ("k must be >= 2" if folds == "1" else "k=13 exceeds the 12 available rows") in err
+    assert not model.exists() and not report.exists()
+
+
+def test_train_saves_the_from_zero_fit(tmp_path, capsys):
+    # the CV folds start from the final fit's betas; the final fit itself
+    # starts from zero
+    rng = np.random.default_rng(5)
+    feat_csv = tmp_path / "features.csv"
+    write_features(feat_csv, [feature_row(f"p{i}", [str(v) for v in rng.normal(size=14)],
+                                          target=str(rng.normal()))
+                              for i in range(40)])
+    model = tmp_path / "model.json"
+    code, out, err = run(capsys, "train", str(feat_csv), str(model), "--network-only",
+                         "--folds", "4", "--gamma", "0.1")
+    assert code == EXIT_OK, err
+    matrix = features.read_matrix_csv(feat_csv)
+    X = matrix.X[:, [features.FEATURE_NAMES.index(n) for n in NETWORK_FEATURES]]
+    expected = tmp_path / "expected.json"
+    svr.save_model(svr.fit(X, matrix.y, svr.SvrConfig(gamma=0.1), NETWORK_FEATURES),
+                   expected)
+    assert model.read_bytes() == expected.read_bytes()
+
+
 def test_train_names_a_column_it_cannot_standardize(tmp_path, capsys):
     rng = np.random.default_rng(2)
     cells = [[str(v) for v in rng.normal(size=14)] for _ in range(12)]

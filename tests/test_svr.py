@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from helpers import (reference_impute, reference_kkt_max_violation,
-                     reference_solve_smo, reference_svr_optimum)
+                     reference_svr_optimum)
+from revnet import svr
 from revnet.svr import (_RBF_BLOCK, EvalReport, SvrConfig, _accept, _finish, _r2, _rbf,
                         _row_states, _solve_smo, cross_validate, f_statistic, fit,
                         load_model, save_model)
@@ -110,7 +111,8 @@ def test_duplicate_rows_still_satisfy_kkt():
 
 
 def solver_problems():
-    """Random problems for the solver parity test, each with a named twist."""
+    """Random problems for the solver certificate test, each with a named
+    twist."""
     for seed in range(24):
         rng = np.random.default_rng(100 + seed)
         n, d = int(rng.integers(2, 90)), int(rng.integers(1, 5))
@@ -152,32 +154,26 @@ def dual_objective(K, y, beta, eps):
     return 0.5 * beta @ K @ beta - y @ beta + eps * np.abs(beta).sum()
 
 
-def test_solver_matches_reference_bit_for_bit():
-    """Bit for bit with the reference until the exact finish fires; a fit
-    the finish ended must pass the KKT oracle, stay feasible, reach a dual
-    objective no higher than the reference's, in no more SMO steps."""
+def test_solver_certifies_each_fit():
+    """Every fit that converges meets the KKT certificate within tol, in
+    beta and in the bias it reports, and stays feasible; a capped one stays
+    feasible.  The enumeration oracle checks the optimum itself on small
+    problems; these reach 90 and 250 rows, where the finish fires."""
     seen = set()
     for kind, X, y, config in solver_problems():
         K = _rbf(X, config.gamma)
         beta, bias, iters, converged, gap, finish_rounds, _ = _solve_smo(K, y, config)
-        r_beta, r_bias, r_iters, r_converged, r_gap = reference_solve_smo(K, y, config)
-        if finish_rounds == 0:
-            assert beta.tobytes() == r_beta.tobytes(), kind
-            assert (iters, converged) == (r_iters, r_converged), kind
-            assert as_bytes(bias) == as_bytes(r_bias), kind
-            assert as_bytes(gap) == as_bytes(r_gap), kind
-        else:
+        assert np.abs(beta).max() <= config.C, kind
+        assert abs(beta.sum()) <= 1e-9 * config.C, kind
+        if converged:
             fitted = SimpleNamespace(
                 diagnostics=SimpleNamespace(train_beta=beta), config=config,
                 predict=lambda rows, K=K, beta=beta, bias=bias: K @ beta + bias)
-            assert converged and gap <= config.tol, kind
-            assert reference_kkt_max_violation(fitted, X, y) <= config.tol, kind
-            assert np.abs(beta).max() <= config.C, kind
-            assert abs(beta.sum()) <= 1e-9 * config.C, kind
-            objective = dual_objective(K, y, beta, config.epsilon)
-            r_objective = dual_objective(K, y, r_beta, config.epsilon)
-            assert objective <= r_objective + 1e-9 * abs(r_objective), kind
-            assert iters <= r_iters, kind
+            assert gap <= config.tol, kind
+            assert reference_kkt_max_violation(fitted, X, y) <= config.tol + 1e-9, kind
+        else:
+            assert iters == config.max_passes and gap > config.tol, kind
+        if finish_rounds:
             seen.add("finish fired")
             if kind == "duplicates":
                 seen.add("finish fired on duplicates")
@@ -244,43 +240,57 @@ def standardized_kernel(X, gamma):
 
 
 def as_split(beta):
+    """The variables a = (alpha, alpha*) of the betas ``beta``."""
     return np.concatenate([np.maximum(beta, 0.0), np.maximum(-beta, 0.0)])
 
 
 def assert_at_optimum(K, y, beta, bias, config, optimum, kind, atol=1e-8):
     """``beta`` and ``bias`` (unless None) match the enumerated optimum
-    within ``atol``: beta itself where ``K`` is nonsingular, else the
-    objective and the fitted values."""
+    within ``atol``: the objective and the fitted values, and beta itself
+    where ``K``'s smallest eigenvalue exceeds 1e-3.  Below that, a point
+    within tol of the optimum can hold a beta far from the optimum's (as
+    far as tol over that eigenvalue), and where ``K`` is singular the
+    optimum's beta is not unique."""
     beta_o, objective, bias_lo, bias_hi = optimum
     assert np.abs(beta).max(initial=0.0) <= config.C, kind
     assert abs(beta.sum()) <= 1e-9 * config.C, kind
     assert abs(dual_objective(K, y, beta, config.epsilon) - objective) <= atol, kind
     assert np.abs(K @ beta - K @ beta_o).max() <= atol, kind
     assert bias is None or bias_lo - atol <= bias <= bias_hi + atol, kind
-    if kind != "duplicates":
+    if np.linalg.eigvalsh(K)[0] > 1e-3:
         assert np.abs(beta - beta_o).max() <= atol, kind
+        return True
+    return False
 
 
 def test_fit_reaches_the_enumerated_optimum():
-    """``fit`` at tol 1e-10 against the optimum that
-    ``reference_svr_optimum`` finds by enumeration."""
+    """``fit`` at tol 1e-10, from zero and from two starts, against the
+    optimum that ``reference_svr_optimum`` finds by enumeration."""
     seen = set()
+    rng = np.random.default_rng(5)
     for kind, X, y, config in oracle_problems():
         K = standardized_kernel(X, config.gamma)
         optimum = reference_svr_optimum(K, y, config.C, config.epsilon)
         beta_o = optimum[0]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            model = fit(X, y, config)
-        diagnostics, beta = model.diagnostics, model.diagnostics.train_beta
-        if diagnostics.converged:
-            assert_at_optimum(K, y, beta, model.bias, config, optimum, kind)
-        else:
+        # from zero, from a random feasible start and from the optimum
+        feasible = config.C * rng.uniform(-1.0, 1.0, size=len(y))
+        feasible -= feasible.mean()
+        feasible /= max(1.0, np.abs(feasible).max() / config.C)
+        for start in (None, feasible, beta_o):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                model = fit(X, y, config, start=start)
+            diagnostics, beta = model.diagnostics, model.diagnostics.train_beta
+            if diagnostics.converged:
+                if assert_at_optimum(K, y, beta, model.bias, config, optimum, kind):
+                    seen.add("beta compared")
+                elif kind == "duplicates" and np.abs(beta - beta_o).max() > 1e-3:
+                    seen.add("another optimum of a singular K")
+                continue
             assert diagnostics.iterations == config.max_passes, kind
             assert np.abs(beta).max() <= config.C, kind
             assert abs(beta.sum()) <= 1e-9 * config.C, kind
-            assert (dual_objective(K, y, beta, config.epsilon)
-                    > optimum[1] + config.tol), kind
+            assert dual_objective(K, y, beta, config.epsilon) >= optimum[1] - 1e-12, kind
             seen.add("cap hit")
         if kind == "small_C" and np.any(np.abs(beta_o) >= config.C * (1 - 1e-9)):
             seen.add("at bound")
@@ -290,10 +300,8 @@ def test_fit_reaches_the_enumerated_optimum():
             seen.add("gap -0.0")
         if kind == "bench_like" and np.mean(np.abs(beta_o) >= config.C * (1 - 1e-9)) > 0.5:
             seen.add("mostly at C")
-        if kind == "duplicates" and np.abs(beta - beta_o).max() > 1e-3:
-            seen.add("another optimum of a singular K")
     assert seen == {"cap hit", "at bound", "few SVs", "gap -0.0", "mostly at C",
-                    "another optimum of a singular K"}
+                    "another optimum of a singular K", "beta compared"}
 
 
 def test_finish_ends_at_the_enumerated_optimum():
@@ -308,7 +316,7 @@ def test_finish_ends_at_the_enumerated_optimum():
     an optimum with two free rows."""
     def problems():
         for kind, X, y, config in oracle_problems():
-            yield kind, X, y, dataclasses.replace(config, tol=1e-7, max_passes=500_000)
+            yield kind, X, y, dataclasses.replace(config, tol=1e-7)
         for seed in (7, 8):
             rng = np.random.default_rng(seed)
             X = rng.normal(size=(8, 2))
@@ -384,6 +392,52 @@ def test_finish_ends_each_network_like_fit_on_its_first_try(seed):
     assert reference_kkt_max_violation(model, X, y) <= config.tol
 
 
+def test_seeded_folds_take_fewer_smo_steps(monkeypatch):
+    """Folds started from the full fit's betas solve their own duals to tol,
+    in fewer SMO steps than folds started from zero."""
+    X, y = network_like_rows()
+    config = SvrConfig(C=100.0, gamma=0.01)
+    full = fit(X, y, config)
+    fits = []
+
+    def recording_fit(X, y, config, feature_names=None, start=None):
+        model = real_fit(X, y, config, feature_names, start)
+        fits.append((X, y, start, model))
+        return model
+
+    real_fit = svr.fit
+    monkeypatch.setattr(svr, "fit", recording_fit)
+    from_zero = cross_validate(X, y, config, k=5)
+    seeded = cross_validate(X, y, config, k=5, start=full.diagnostics.train_beta)
+    steps = [sum(d.iterations for d in report.fold_fits) for report in (from_zero, seeded)]
+    assert steps[1] < steps[0]
+    assert [start is None for _, _, start, _ in fits] == [True] * 5 + [False] * 5
+    for X_fold, y_fold, start, model in fits[5:]:
+        assert model.diagnostics.converged
+        assert reference_kkt_max_violation(model, X_fold, y_fold) <= config.tol
+        # the fold's rows' betas of the full fit, one side shrunk
+        rows = [int(np.flatnonzero((X == row).all(axis=1) & (y == target))[0])
+                for row, target in zip(X_fold, y_fold)]
+        beta = full.diagnostics.train_beta[rows]
+        assert (start * beta >= 0).all() and (np.abs(start) <= np.abs(beta)).all()
+        assert ((start == beta)[beta > 0].all() or (start == beta)[beta < 0].all())
+    assert abs(seeded.r2 - from_zero.r2) <= 1e-4
+
+
+@pytest.mark.parametrize("start, rule", [
+    (np.zeros(19), r"one beta per row: expected shape \(20,\)"),
+    (np.array([np.nan] + [0.0] * 19), "finite betas only"),
+    (np.array([10.5, -10.5] + [0.0] * 18), r"within \[-C, C\] for C = 10"),
+    (np.array([2e-8] + [0.0] * 19), "sum to 0 within 1e-9 C"),
+], ids=["length", "non-finite", "beyond-C", "sum"])
+def test_fit_rejects_a_bad_start(start, rule):
+    X, y = random_problem(0, n=20)
+    with pytest.raises(ValueError, match=rule):
+        fit(X, y, SvrConfig(C=10.0), start=start)
+    with pytest.raises(ValueError, match=rule):
+        cross_validate(X, y, SvrConfig(C=10.0), k=4, start=start)
+
+
 def test_finish_rejects_an_end_point_off_the_sum_constraint(monkeypatch):
     # a fresh solve that moves one free beta by 1e-7 C breaks sum beta = 0
     # while the gap stays within tol; the finish must hand such a point
@@ -408,7 +462,7 @@ def test_finish_rejects_an_end_point_off_the_sum_constraint(monkeypatch):
     assert abs(diagnostics.train_beta.sum()) <= 1e-9 * config.C
 
 
-def test_finish_solves_a_free_block_holding_equal_rows():
+def test_finish_solves_a_free_block_holding_equal_rows(monkeypatch):
     # SMO leaves one copy of a repeated row free and the other at a bound;
     # splitting the free copy's beta with the bound copy keeps the point
     # but makes both free, so K_FF is singular, which the ridge must absorb
@@ -416,16 +470,17 @@ def test_finish_solves_a_free_block_holding_equal_rows():
     X, y = np.vstack([X, X[:40]]), np.concatenate([y, y[:40]])
     config = SvrConfig(C=1.0, gamma=0.5, epsilon=0.1)
     K = _rbf(X, config.gamma)
-    beta = reference_solve_smo(K, y, config)[0]
-    states = _row_states(np.concatenate([np.maximum(beta, 0.0), np.maximum(-beta, 0.0)]),
-                         config.C)
+    with monkeypatch.context() as patch:
+        patch.setattr(svr, "_finish", lambda *args: None)  # SMO alone, to tol
+        beta = _solve_smo(K, y, config)[0]
+    states = _row_states(as_split(beta), config.C)
     twins = np.flatnonzero(states[:40] % 2)
     split = (beta[twins] + beta[200 + twins]) / 2
     keep = split * states[twins] > 1e-8 * config.C
     twins, split = twins[keep], split[keep]
     assert len(twins) >= 5
     beta[twins] = beta[200 + twins] = split
-    a = np.concatenate([np.maximum(beta, 0.0), np.maximum(-beta, 0.0)])
+    a = as_split(beta)
     assert (_row_states(a, config.C)[200 + twins] % 2).all()
     a, F, rounds, gap = _finish(K, y, a, config)
     assert gap <= config.tol
@@ -448,7 +503,9 @@ def test_finish_skips_a_free_block_over_a_quarter_of_the_rows(monkeypatch):
     assert (calls, finish_rounds) == ([], 0) and finish_tries > 0
     assert converged and gap <= config.tol
     assert np.count_nonzero((beta != 0) & (np.abs(beta) < config.C)) > len(y) / 4
-    r_beta, r_bias, r_iters, _, _ = reference_solve_smo(K, y, config)
+    # the skipped tries leave SMO's iterates as they would be without them
+    monkeypatch.setattr(svr, "_finish", lambda *args: None)
+    r_beta, r_bias, r_iters = _solve_smo(K, y, config)[:3]
     assert beta.tobytes() == r_beta.tobytes()
     assert (iters, as_bytes(bias)) == (r_iters, as_bytes(r_bias))
 

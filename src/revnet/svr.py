@@ -93,14 +93,12 @@ class SvrModel:
             raise ValueError(f"row {inf_rows[0]} (counting from 0) holds an infinite "
                              f"feature value; only NaN cells are imputed")
         Z = (_fill(rows, self.impute_means) - self.scaler_mean) / self.scaler_std
-        # one row at a time, with an exactly rounded sum, so that a row's
-        # score does not depend on the other rows in the batch
+        # one reduction per row, so a row's score does not depend on its batch
         sv, coefs, gamma = self.support_vectors, self.dual_coefs, self.config.gamma
-        out = np.empty(len(Z))
-        for i, z in enumerate(Z):
-            d = sv - z
-            k = np.exp(-gamma * np.einsum("ij,ij->i", d, d))
-            out[i] = math.fsum((k * coefs).tolist()) + self.bias
+        out = np.full(len(Z), self.bias)
+        for lo in range(0, len(Z), _RBF_BLOCK):
+            out[lo:lo + _RBF_BLOCK] += np.add.reduce(
+                _rbf(Z[lo:lo + _RBF_BLOCK], sv, gamma) * coefs, axis=1)
         return out
 
 
@@ -119,20 +117,22 @@ def _fill(X: np.ndarray, means: np.ndarray) -> np.ndarray:
     return out
 
 
-# rows per step when _rbf turns Gram products into squared distances in
-# place: the step's temporary holds this many rows rather than l
+# rows of A per step of _rbf, and of the batch per step of predict
 _RBF_BLOCK = 64
 
 
-def _rbf(Z: np.ndarray, gamma: float) -> np.ndarray:
-    """The RBF kernel exp(-gamma |z_i - z_j|^2) of the rows of ``Z``, built in
-    the Gram product's own buffer: one l x l array at its peak."""
-    sq = np.sum(Z * Z, axis=1)
-    K = (2.0 * Z) @ Z.T
-    for lo in range(0, len(Z), _RBF_BLOCK):
-        hi = lo + _RBF_BLOCK
-        np.subtract(sq[lo:hi, None] + sq[None, :], K[lo:hi], out=K[lo:hi])
-    np.maximum(K, 0.0, out=K)
+def _rbf(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
+    """exp(-gamma |a_i - b_j|^2) for the rows of ``A`` and ``B``, summed a column
+    at a time by elementwise operations and no BLAS: an entry depends on its two
+    rows alone, and ``_rbf(Z, Z, gamma)`` is exactly symmetric with diagonal 1."""
+    K = np.zeros((len(A), len(B)))
+    for lo in range(0, len(A), _RBF_BLOCK):
+        block = K[lo:lo + _RBF_BLOCK]
+        d = np.empty_like(block)
+        for a, b in zip(A[lo:lo + _RBF_BLOCK].T, B.T):
+            np.subtract(a[:, None], b, out=d)
+            np.multiply(d, d, out=d)
+            block += d
     np.multiply(K, -gamma, out=K)
     return np.exp(K, out=K)
 
@@ -362,10 +362,10 @@ def _solve_smo(K: np.ndarray, y: np.ndarray, config: SvrConfig,
     a step moves, and every per-step array is a buffer allocated once.  Pair
     updates move beta_i by +t and beta_j by -t.
 
-    The WSS2 curvature row a_i = max(d_i + d - 2 K_i, 1e-12) is built the
-    first time i is picked and kept for the rest of the fit.  A fit picks
-    about half its rows, so the rows take about half the memory of the full
-    l x l matrix and cost less to build.
+    The WSS2 curvature row a_i = max(2 - 2 K_i, 1e-12) (K's diagonal is
+    exactly 1) is built the first time i is picked and kept for the rest of
+    the fit.  A fit picks about half its rows, so the rows take about half
+    the memory of the full l x l matrix and cost less to build.
 
     When the gap falls below the next try's threshold, ``_finish`` starts
     from a, unless the row states equal those of the last failed try.  A
@@ -378,7 +378,6 @@ def _solve_smo(K: np.ndarray, y: np.ndarray, config: SvrConfig,
     C, eps, tol = config.C, config.epsilon, config.tol
     two_eps = 2.0 * eps
     inf = np.inf
-    diag = np.ascontiguousarray(np.diag(K))
     curvature = {}  # i -> a_i, for each i picked so far
 
     y_eps = y - eps
@@ -433,7 +432,7 @@ def _solve_smo(K: np.ndarray, y: np.ndarray, config: SvrConfig,
         np.square(obj, out=obj)
         a_i = curvature.get(i)
         if a_i is None:
-            a_i = curvature[i] = np.maximum((diag[i] + diag) - 2.0 * K[i], 1e-12)
+            a_i = curvature[i] = np.maximum(2.0 - 2.0 * K[i], 1e-12)
         np.divide(obj_p, a_i, out=obj_p)
         np.divide(obj_m, a_i, out=obj_m)
         vj = int(obj.argmax())
@@ -549,7 +548,7 @@ def fit(X: np.ndarray, y: np.ndarray, config: SvrConfig,
         std = np.where(degenerate, 1.0, std)
     Z = (X - mean) / std
 
-    K = _rbf(Z, config.gamma)
+    K = _rbf(Z, Z, config.gamma)
     beta, bias, iters, converged, gap, finish_rounds, finish_tries = _solve_smo(
         K, y, config, start)
     if not converged:

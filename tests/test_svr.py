@@ -161,7 +161,7 @@ def test_solver_certifies_each_fit():
     problems; these reach 90 and 250 rows, where the finish fires."""
     seen = set()
     for kind, X, y, config in solver_problems():
-        K = _rbf(X, config.gamma)
+        K = _rbf(X, X, config.gamma)
         beta, bias, iters, converged, gap, finish_rounds, _ = _solve_smo(K, y, config)
         assert np.abs(beta).max() <= config.C, kind
         assert abs(beta.sum()) <= 1e-9 * config.C, kind
@@ -469,7 +469,7 @@ def test_finish_solves_a_free_block_holding_equal_rows(monkeypatch):
     X, y = random_problem(5, n=200, noise=1.0)
     X, y = np.vstack([X, X[:40]]), np.concatenate([y, y[:40]])
     config = SvrConfig(C=1.0, gamma=0.5, epsilon=0.1)
-    K = _rbf(X, config.gamma)
+    K = _rbf(X, X, config.gamma)
     with monkeypatch.context() as patch:
         patch.setattr(svr, "_finish", lambda *args: None)  # SMO alone, to tol
         beta = _solve_smo(K, y, config)[0]
@@ -492,7 +492,7 @@ def test_finish_skips_a_free_block_over_a_quarter_of_the_rows(monkeypatch):
     X, y = random_problem(1, n=60, noise=0.0)
     y = 10.0 * y
     config = SvrConfig(C=1000.0, gamma=0.5, epsilon=0.01)
-    K = _rbf(X, config.gamma)
+    K = _rbf(X, X, config.gamma)
     calls = []
     for name in ("inv", "solve"):
         real = getattr(np.linalg, name)
@@ -513,7 +513,7 @@ def test_finish_skips_a_free_block_over_a_quarter_of_the_rows(monkeypatch):
 def test_solver_and_fit_leave_their_inputs_unchanged():
     X, y = random_problem(6, n=50)
     config = SvrConfig(C=10.0, gamma=0.5, epsilon=0.1)
-    K = _rbf(X, config.gamma)
+    K = _rbf(X, X, config.gamma)
     before = [arr.copy() for arr in (K, y, X)]
     _solve_smo(K, y, config)
     fit(X, y, config)
@@ -521,17 +521,23 @@ def test_solver_and_fit_leave_their_inputs_unchanged():
         assert arr.tobytes() == copy.tobytes()
 
 
-@pytest.mark.parametrize("n", [1, _RBF_BLOCK - 1, _RBF_BLOCK, _RBF_BLOCK + 1,
-                               2 * _RBF_BLOCK + 3])
-def test_rbf_matches_explicit_pairwise_distances(n):
-    X = np.random.default_rng(n).normal(size=(n, 3))
-    K = _rbf(X, 0.3)
-    diff = X[:, None, :] - X[None, :, :]
+@pytest.mark.parametrize("n, m", [
+    *(pytest.param(n, None, id=str(n)) for n in
+      (1, _RBF_BLOCK - 1, _RBF_BLOCK, _RBF_BLOCK + 1, 2 * _RBF_BLOCK + 3)),
+    # a cross kernel: A spans three blocks, B holds one row over a block
+    pytest.param(2 * _RBF_BLOCK + 3, _RBF_BLOCK + 1, id="cross")])
+def test_rbf_matches_explicit_pairwise_distances(n, m):
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, 3))
+    Y = X if m is None else rng.normal(size=(m, 3))
+    K = _rbf(X, Y, 0.3)
+    diff = X[:, None, :] - Y[None, :, :]
     oracle = np.exp(-0.3 * np.sum(diff * diff, axis=2))
-    assert K.shape == (n, n)
+    assert K.shape == (n, len(Y))
     assert np.abs(K - oracle).max() <= 1e-12
-    assert np.abs(K - K.T).max() <= 1e-12
-    assert (np.diag(K) <= 1.0).all()
+    if m is None:
+        assert np.array_equal(K, K.T)
+        assert (np.diag(K) == 1.0).all()
 
 
 def test_fit_peaks_below_two_kernel_sized_arrays():
@@ -609,6 +615,47 @@ def test_predict_fills_nan_from_the_training_means():
     by_hand[1] = model.impute_means[1]
     assert np.isnan(row[1])
     assert model.predict(row).tobytes() == model.predict(by_hand).tobytes()
+
+
+def test_prediction_of_a_row_does_not_depend_on_its_batch():
+    # rows over three blocks, against each row alone and the batch reversed;
+    # over 128 support vectors, so that each row's sum is split into
+    # pairwise halves
+    X, y = random_problem(15, n=300, d=5, noise=1.0)
+    model = fit(X, y, SvrConfig(C=100.0, gamma=0.01))
+    assert len(model.dual_coefs) > 128
+    rows = np.random.default_rng(16).normal(size=(2 * _RBF_BLOCK + 3, 5))
+    rows[::7, 2] = np.nan
+    rows[_RBF_BLOCK] = np.nan
+    batch = model.predict(rows)
+    alone = np.concatenate([model.predict(row) for row in rows])
+    assert batch.tobytes() == alone.tobytes()
+    assert batch.tobytes() == model.predict(rows[::-1])[::-1].tobytes()
+
+
+def test_predict_edge_cases():
+    X, y = random_problem(17)
+    model = fit(X, y, SvrConfig(gamma=0.5))
+    assert model.predict(np.empty((0, 4))).shape == (0,)
+    empty = dataclasses.replace(model, support_vectors=np.empty((0, 4)),
+                                dual_coefs=np.empty(0))
+    assert empty.predict(X[:3]).tolist() == [model.bias] * 3
+
+
+def test_predict_holds_at_most_one_block_of_kernel_rows():
+    # an n x n_sv kernel for these rows would exceed the bound on its own
+    X, y = random_problem(0, n=300, d=5, noise=1.0)
+    model = fit(X, y, SvrConfig(C=100.0, gamma=0.01))
+    n_sv = len(model.dual_coefs)
+    rows = np.random.default_rng(18).normal(size=(8 * _RBF_BLOCK, 5))
+    assert 8 * _RBF_BLOCK * n_sv * 8 > 4 * _RBF_BLOCK * n_sv * 8 + rows.nbytes
+    tracemalloc.start()
+    try:
+        model.predict(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * _RBF_BLOCK * n_sv * 8 + rows.nbytes
 
 
 def test_fit_and_cross_validate_reject_infinite_inputs():

@@ -579,8 +579,11 @@ def f_statistic(column: np.ndarray, targets: np.ndarray) -> float:
     when r is near 1.  Each column is centred twice: a mean rounded at the
     column's offset leaves a shift of up to an ulp of that offset, which
     the second pass removes, so a narrow column far from 0 keeps its F.
-    A constant column far from 0 can pass the spread test on that shift
-    alone; it centres to exact zeros, and its F is 0 as well.
+    A column whose spread is under the scaler's 1e-12 floor has F 0, as a
+    column the fit scales as constant: a finer spread is lost to rounding
+    once the column is shifted by a few units, so an F from it would not
+    survive the shift.  A constant column that passes the floor on its
+    rounding alone centres to exact zeros, and its F is 0 as well.
     """
     x = np.asarray(column, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
@@ -589,7 +592,7 @@ def f_statistic(column: np.ndarray, targets: np.ndarray) -> float:
         raise ValueError("need at least 3 samples")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("inputs must be finite")
-    if x.std() < 1e-15 or y.std() < 1e-15:
+    if x.std() < 1e-12 or y.std() < 1e-12:
         return 0.0
     xc = x - x.mean()
     xc -= xc.mean()

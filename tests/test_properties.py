@@ -99,6 +99,10 @@ def test_empirical_cdf_is_a_cdf(values):
 @example([0.0, 0.0, 1e-12], [0.0, 1.0, 0.0])
 # a constant column whose spread, shifted, is one ulp of its offset
 @example([11.523629352558338] * 3, [0.0, 0.0, 1.0])
+# a narrow column over the 1e-12 floor: its shifted mean rounds at 10
+@example([0.0] * 3 + [2.2e-12] * 4, [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+# a spread under the floor, which the shift rounds up to one ulp of 10
+@example([0.0, 0.0, 1e-15], [0.0, 0.0, 1.0])
 def test_f_statistic_nonnegative_and_shift_invariant(xs, ys):
     n = min(len(xs), len(ys))
     x = np.array(xs[:n])

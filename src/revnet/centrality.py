@@ -6,9 +6,10 @@ coefficient, and PageRank by power iteration.  All measures are exact and
 deterministic; node order follows the graph's sorted node tuple.
 
 Shortest paths and triangles are counted with dense matrix products on the
-graph's 0/1 adjacency matrix, over fixed blocks of ``SOURCE_BLOCK`` rows, so
-beyond the matrix itself the working set stays O(depth * SOURCE_BLOCK * n),
-where depth is the number of BFS levels.
+graph's 0/1 adjacency matrix, over fixed blocks of ``SOURCE_BLOCK`` rows.
+Beyond the matrix itself, Brandes works in four float ``SOURCE_BLOCK x n``
+arrays per block plus one byte per (source, node) pair per BFS level, and
+clustering in one ``SOURCE_BLOCK x n`` product.
 """
 
 from __future__ import annotations
@@ -54,12 +55,16 @@ def _brandes_pass(A: np.ndarray):
     delta[v] += sigma[v] * sum over neighbours w one level deeper of
     (1 + delta[w]) / sigma[w].
 
-    Levels are selected by multiplying with 0/1 masks, never by boolean
-    indexing: for the finite, non-negative values here ``x * mask`` has the
-    bits of ``np.where(mask, x, 0.0)``.  Level 0 is the sources alone, so
-    its product is their rows of ``A``.  The step from level 1 back to
-    level 0 is skipped: it would write only the sources' own dependencies,
-    which betweenness excludes.
+    Each block works in one allocation of four ``b x n`` float arrays,
+    written in place, and keeps each BFS level only as its boolean mask.
+    Levels are selected by multiplying with these masks, which the multiply
+    casts to 0.0/1.0, never by boolean indexing: for the finite,
+    non-negative values here ``x * mask`` has the bits of
+    ``np.where(mask, x, 0.0)``.  Sigma on level d - 1 is ``sigma * mask``,
+    so the backward step scales its product by sigma and that mask.  Level
+    0 is the sources alone, so its product is their rows of ``A``.  The
+    step from level 1 back to level 0 is skipped: it would write only the
+    sources' own dependencies, which betweenness excludes.
 
     Returns (raw betweenness with each pair counted twice, distance sums,
     reachable-component sizes).
@@ -72,33 +77,38 @@ def _brandes_pass(A: np.ndarray):
     for lo in range(0, n, SOURCE_BLOCK):
         hi = min(lo + SOURCE_BLOCK, n)
         rows = np.arange(hi - lo)
-        sigma = np.zeros((hi - lo, n))
+        sigma, level, paths, delta = np.zeros((4, hi - lo, n))
+        unreached = np.empty((hi - lo, n), dtype=bool)
         sigma[rows, rows + lo] = 1.0
-        paths = A[lo:hi]
-        levels = []  # sigma on BFS levels 1, 2, ..., zero elsewhere
-        masks = []  # the same levels as 0/1 floats
+        paths[...] = A[lo:hi]
+        masks = []  # BFS levels 1, 2, ... as boolean masks
         while True:
-            level = paths * (sigma == 0.0)
+            np.equal(sigma, 0.0, out=unreached)
+            np.multiply(paths, unreached, out=level)
             reached = level > 0.0
             count = np.count_nonzero(reached, axis=1)
             if not count.any():
                 break
-            levels.append(level)
-            masks.append(reached.astype(np.float64))
+            masks.append(reached)
             sigma += level
-            dist_sum[lo:hi] += len(levels) * count
+            dist_sum[lo:hi] += len(masks) * count
             comp_size[lo:hi] += count
             if (comp_size[lo:hi] == n).all():
                 break  # every source reached every node: the next level is empty
-            paths = level @ A
+            np.matmul(level, A, out=paths)
 
         # off every level sigma may be 0; the mask then zeroes x / 1
-        safe_sigma = np.maximum(sigma, 1.0)
-        delta = np.zeros_like(sigma)
-        # levels[d] is BFS level d + 1, which feeds level d = levels[d - 1]
-        for d in range(len(levels) - 1, 0, -1):
-            coeff = (1.0 + delta) / safe_sigma * masks[d]
-            delta += levels[d - 1] * (coeff @ A)
+        np.maximum(sigma, 1.0, out=sigma)
+        coeff, prod = level, paths
+        # masks[d] is BFS level d + 1, which feeds level d = masks[d - 1]
+        for d in range(len(masks) - 1, 0, -1):
+            np.add(delta, 1.0, out=coeff)
+            np.divide(coeff, sigma, out=coeff)
+            np.multiply(coeff, masks[d], out=coeff)
+            np.matmul(coeff, A, out=prod)
+            np.multiply(prod, sigma, out=prod)
+            np.multiply(prod, masks[d - 1], out=prod)
+            delta += prod
         bc += delta.sum(axis=0)
 
     return bc, dist_sum, comp_size
@@ -128,7 +138,9 @@ def clustering(graph: ReviewGraph) -> np.ndarray:
     links = np.zeros(n)
     for lo in range(0, n, SOURCE_BLOCK):
         block = A[lo:lo + SOURCE_BLOCK]
-        links[lo:lo + SOURCE_BLOCK] = ((block @ A) * block).sum(axis=1) / 2.0
+        prod = block @ A
+        prod *= block
+        links[lo:lo + SOURCE_BLOCK] = prod.sum(axis=1) / 2.0
     out = np.zeros(n)
     wide = k >= 2
     out[wide] = 2.0 * links[wide] / (k[wide] * (k[wide] - 1))

@@ -150,6 +150,10 @@ _FINISH_RIDGE = 1e-10
 # a rank-one update whose pivot is below this cancels entries of order
 # 1 / pivot and loses their digits; the inverse is computed afresh instead
 _FINISH_PIVOT = 1e-6
+# below eight rows the quarter rule leaves at most one free row, and
+# sum beta = 0 puts a lone free beta at a multiple of C, on a bound, so the
+# finish has no free row to solve for
+_FINISH_MIN_ROWS = 8
 
 
 def _set_masks(a: np.ndarray, C: float, two_eps: float):
@@ -367,12 +371,13 @@ def _solve_smo(K: np.ndarray, y: np.ndarray, config: SvrConfig,
     the fit.  A fit picks about half its rows, so the rows take about half
     the memory of the full l x l matrix and cost less to build.
 
-    When the gap falls below the next try's threshold, ``_finish`` starts
-    from a, unless the row states equal those of the last failed try.  A
-    result that passes its checks replaces a, F and the masks and ends the
-    fit; otherwise SMO carries on from where it stopped.  ``iters`` counts
-    SMO steps only, ``finish_rounds`` the successful finish's steps (or 0)
-    and ``finish_tries`` every call of ``_finish``.
+    When the gap falls below the next try's threshold on a fit of at least
+    ``_FINISH_MIN_ROWS`` rows, ``_finish`` starts from a, unless the row
+    states equal those of the last failed try.  A result that passes its
+    checks replaces a, F and the masks and ends the fit; otherwise SMO
+    carries on from where it stopped.  ``iters`` counts SMO steps only,
+    ``finish_rounds`` the successful finish's steps (or 0) and
+    ``finish_tries`` every call of ``_finish``.
     """
     l = len(y)
     C, eps, tol = config.C, config.epsilon, config.tol
@@ -408,7 +413,7 @@ def _solve_smo(K: np.ndarray, y: np.ndarray, config: SvrConfig,
         gap = m - float(low_s[low_s.argmin()])
         if gap <= tol:
             break
-        if gap < next_try:
+        if gap < next_try and l >= _FINISH_MIN_ROWS:
             a_now = np.array(a)
             states = _row_states(a_now, C)
             if failed_states is None or not np.array_equal(states, failed_states):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,17 +176,17 @@ def test_matrix_pass_matches_reference_on_random_graphs():
 
 class CountingMatrix(np.ndarray):
     """An adjacency matrix that counts the products taken with it (or with
-    a slice of it) and computes them on plain arrays."""
+    a slice of it), by ``@`` or by ``np.matmul`` with or without ``out=``,
+    and computes every ufunc on plain arrays."""
 
     products = 0
 
-    def __matmul__(self, other):
-        CountingMatrix.products += 1
-        return np.asarray(self) @ np.asarray(other)
-
-    def __rmatmul__(self, other):
-        CountingMatrix.products += 1
-        return np.asarray(other) @ np.asarray(self)
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        if ufunc is np.matmul:
+            CountingMatrix.products += 1
+        if out is not None:
+            kwargs["out"] = tuple(np.asarray(x) for x in out)
+        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
 
 
 @pytest.mark.parametrize("graph, products", [
@@ -200,6 +201,23 @@ def test_forward_sweep_stops_once_every_node_is_reached(graph, products):
     assert CountingMatrix.products == products
     for counted, plain in zip(got, centrality._brandes_pass(graph.A)):
         assert np.asarray(counted).tobytes() == plain.tobytes()
+    assert_matches_oracles(graph)
+
+
+def test_brandes_pass_keeps_each_level_as_one_byte_per_pair():
+    # from an end of a 200-node path the sweep goes 199 levels deep; four
+    # float b x n arrays plus a boolean mask per level fit the bound, one
+    # or two float copies per level do not
+    graph = path_graph(200)
+    b = n = graph.n
+    depth = n - 1
+    tracemalloc.start()
+    try:
+        centrality._brandes_pass(graph.A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * b * n * 8 + depth * b * n
     assert_matches_oracles(graph)
 
 

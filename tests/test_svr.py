@@ -510,6 +510,23 @@ def test_finish_skips_a_free_block_over_a_quarter_of_the_rows(monkeypatch):
     assert (iters, as_bytes(bias)) == (r_iters, as_bytes(r_bias))
 
 
+@pytest.mark.parametrize("rows, tries", [(7, False), (8, True)])
+def test_finish_is_tried_only_on_fits_of_eight_rows_or_more(monkeypatch, rows, tries):
+    # under eight rows the finish has no free row to solve for, so no try
+    # is made and the iterates are those of SMO alone
+    X, y = random_problem(0, n=rows)
+    config = SvrConfig(C=1.0, gamma=0.5, epsilon=0.1)
+    K = _rbf(X, X, config.gamma)
+    beta, bias, iters, converged, gap, finish_rounds, finish_tries = _solve_smo(
+        K, y, config)
+    assert converged and (finish_tries > 0) == tries
+    if not tries:
+        monkeypatch.setattr(svr, "_finish", lambda *args: None)
+        r_beta, r_bias, r_iters = _solve_smo(K, y, config)[:3]
+        assert beta.tobytes() == r_beta.tobytes()
+        assert (iters, as_bytes(bias)) == (r_iters, as_bytes(r_bias))
+
+
 def test_solver_and_fit_leave_their_inputs_unchanged():
     X, y = random_problem(6, n=50)
     config = SvrConfig(C=10.0, gamma=0.5, epsilon=0.1)

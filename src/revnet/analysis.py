@@ -9,15 +9,14 @@ per analysis plus a manifest mapping analysis name -> file -> columns.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from . import centrality
 from .corpus import Corpus
-from .features import supporting_features
+from .features import SUPPORTING_FEATURES, mean, supporting_features
 from .outputs import csv_line, write_lines
 from .review_graph import build_graph
 from .text_metrics import CATEGORIES, Lexicon, category_percentages, tokenize
@@ -73,7 +72,7 @@ def bucket_mean(values: Sequence[float], keys: Sequence[int]) -> list[GroupStat]
     groups: dict[int, list[float]] = {}
     for v, k in zip(values, keys):
         groups.setdefault(k, []).append(v)
-    return [GroupStat(k, len(vs), float(np.mean(vs))) for k, vs in sorted(groups.items())]
+    return [GroupStat(k, len(vs), mean(vs)) for k, vs in sorted(groups.items())]
 
 
 # -- quartile CDF contrast --------------------------------------------------
@@ -126,7 +125,7 @@ class PaperRecord:
     citations: Optional[int]  # None without a citation record
     rounds: int  # RR, 0 when the paper has no report
     team_size: int
-    features: np.ndarray  # supporting_features: RR TS RL SNT AR AP RAC TA DR
+    features: dict[str, float]  # supporting_features by name, NaN where undefined
 
 
 def paper_records(corpus: Corpus, lexicon: Lexicon) -> list[PaperRecord]:
@@ -136,21 +135,20 @@ def paper_records(corpus: Corpus, lexicon: Lexicon) -> list[PaperRecord]:
         dec = corpus.decisions.get(pid)
         if dec is None or dec.outcome not in ("accept", "reject"):
             continue
-        feats = supporting_features(pid, corpus, lexicon)
+        feats = dict(zip(SUPPORTING_FEATURES,
+                         supporting_features(pid, corpus, lexicon).tolist()))
         records.append(PaperRecord(
             pid, dec.outcome, dec.date.year, corpus.citations(pid),
-            0 if np.isnan(feats[0]) else int(feats[0]), int(feats[1]), feats))
+            0 if math.isnan(feats["RR"]) else int(feats["RR"]), int(feats["TS"]), feats))
     return records
 
 
 def summary_table(corpus: Corpus, records: Sequence[PaperRecord]) -> dict[str, float]:
     """Dataset summary.  Review means count every decided paper; citation
-    means count only the decided papers with a citation record."""
+    means count only the decided papers with a citation record.  The mean
+    of an empty group reads 0.0."""
     accepted = [r for r in records if r.outcome == "accept"]
     rejected = [r for r in records if r.outcome == "reject"]
-
-    def mean(vals):
-        return float(np.mean(vals)) if vals else 0.0
 
     authors = {a for s in corpus.submissions.values() for a in s.author_ids}
     subs_per_author = (len([a for s in corpus.submissions.values()
@@ -159,16 +157,16 @@ def summary_table(corpus: Corpus, records: Sequence[PaperRecord]) -> dict[str, f
         "papers": len(corpus.submissions),
         "papers_accepted": len(accepted),
         "papers_rejected": len(rejected),
-        "mean_reviews_accepted": mean([r.rounds for r in accepted]),
-        "mean_reviews_rejected": mean([r.rounds for r in rejected]),
+        "mean_reviews_accepted": mean([r.rounds for r in accepted] or [0.0]),
+        "mean_reviews_rejected": mean([r.rounds for r in rejected] or [0.0]),
         "mean_citations_accepted": mean([r.citations for r in accepted
-                                         if r.citations is not None]),
+                                         if r.citations is not None] or [0.0]),
         "mean_citations_rejected": mean([r.citations for r in rejected
-                                         if r.citations is not None]),
+                                         if r.citations is not None] or [0.0]),
         "unique_authors": len(authors),
         "mean_submissions_per_author": subs_per_author,
         "mean_authors_per_paper": mean([len(s.author_ids)
-                                        for s in corpus.submissions.values()]),
+                                        for s in corpus.submissions.values()] or [0.0]),
     }
 
 
@@ -203,7 +201,8 @@ def irregular_cases(records: Sequence[PaperRecord], exposure_cutoff_year: int):
             cases = low_accepted
         else:
             continue
-        rl, ar, rac = (None if np.isnan(v) else float(v) for v in rec.features[[2, 4, 6]])
+        rl, ar, rac = (None if math.isnan(rec.features[f]) else rec.features[f]
+                       for f in ("RL", "AR", "RAC"))
         cases.append(IrregularCase(rec.paper_id, rec.outcome, cites, rec.decision_year,
                                    ar, rac, rl))
     return high_rejected, low_accepted
@@ -229,7 +228,7 @@ def lqi_contrast(records: Sequence[PaperRecord], corpus: Corpus, lexicon: Lexico
                 rows.append(category_percentages(tokenize(rep.text), lexicon))
         if not rows:
             return {c: 0.0 for c in CATEGORIES}
-        return {c: float(np.mean([r[c] for r in rows])) for c in CATEGORIES}
+        return {c: mean([r[c] for r in rows]) for c in CATEGORIES}
 
     hi, lo = group_means(high), group_means(low)
     return {c: (hi[c], lo[c]) for c in CATEGORIES}
@@ -287,7 +286,7 @@ def run_all(corpus: Corpus, lexicon: Lexicon, out_dir,
     for rr, cites in sorted(by_rounds.items()):
         cites.sort(reverse=True)
         k = max(1, round(len(cites) * 0.2))
-        rows.append([rr, len(cites), k, float(np.mean(cites[:k]))])
+        rows.append([rr, len(cites), k, mean(cites[:k])])
     emit("top20_citation_by_rounds",
          ["rounds", "papers", "top20_count", "mean_citations"], rows)
 
@@ -298,44 +297,41 @@ def run_all(corpus: Corpus, lexicon: Lexicon, out_dir,
          [[s.bucket, s.count, s.mean] for s in stats])
 
     # the supporting features drive the remaining bucketed analyses
-    def bucketed(feature_idx, width, name, label):
+    def bucketed(feature, width, name, label):
         vals, keys = [], []
         for r in accepted:
-            v = r.features[feature_idx]
-            if not np.isnan(v):
+            v = r.features[feature]
+            if not math.isnan(v):
                 vals.append(r.citations)
                 keys.append(bucket_fixed_width(v, width))
         stats = bucket_mean(vals, keys)
         emit(name, [label, "count", "mean_citations"],
              [[s.bucket * width, s.count, s.mean] for s in stats])
 
-    bucketed(2, 100, "report_length_citation", "length_bucket_start")  # RL
-    bucketed(5, 100, "author_productivity_citation", "gap_bucket_start")  # AP
-    bucketed(7, 100, "time_since_assignment_citation", "days_bucket_start")  # TA
-    bucketed(8, 25, "report_delay_citation", "days_bucket_start")  # DR
+    bucketed("RL", 100, "report_length_citation", "length_bucket_start")
+    bucketed("AP", 100, "author_productivity_citation", "gap_bucket_start")
+    bucketed("TA", 100, "time_since_assignment_citation", "days_bucket_start")
+    bucketed("DR", 25, "report_delay_citation", "days_bucket_start")
 
     # acceptance-ratio / accept-ratio decile panels (citations, reviews, sentiment)
-    for idx, name in ((4, "author_acceptance_ratio_buckets"),
-                      (6, "reviewer_accept_ratio_buckets")):
+    for feature, name in (("AR", "author_acceptance_ratio_buckets"),
+                          ("RAC", "reviewer_accept_ratio_buckets")):
         panels: dict[int, list[tuple[int, int, float]]] = {}
         for r in accepted:
-            ratio = r.features[idx]
-            snt = r.features[3]
-            if np.isnan(ratio):
+            ratio = r.features[feature]
+            snt = r.features["SNT"]
+            if math.isnan(ratio):
                 continue
             panels.setdefault(bucket_ratio_decile(ratio), []).append(
-                (r.citations, r.rounds, 0.0 if np.isnan(snt) else float(snt)))
-        rows = [[b / 10.0, len(g),
-                 float(np.mean([t[0] for t in g])),
-                 float(np.mean([t[1] for t in g])),
-                 float(np.mean([t[2] for t in g]))]
+                (r.citations, r.rounds, 0.0 if math.isnan(snt) else snt))
+        rows = [[b / 10.0, len(g), *(mean(column) for column in zip(*g))]
                 for b, g in sorted(panels.items())]
         emit(name, ["ratio_bucket_start", "count", "mean_citations",
                     "mean_reviews", "mean_sentiment"], rows)
 
     # sentiment vs citations, one point per paper, grouped by decision year
     rows = [[r.decision_year, r.paper_id, r.outcome,
-             "" if np.isnan(r.features[3]) else float(r.features[3]), r.citations]
+             "" if math.isnan(r.features["SNT"]) else r.features["SNT"], r.citations]
             for r in cited]
     rows.sort(key=lambda row: row[:2])
     emit("sentiment_by_year", ["year", "paper_id", "outcome", "sentiment", "citations"],

@@ -261,7 +261,7 @@ def _walk(events: list[ReviewEvent]):
     assignments: dict[str, list[Assignment]] = {}
     reports: dict[str, list[Report]] = {}
     decisions: dict[str, Decision] = {}
-    citations: dict[str, CitationRecord] = {}
+    cited: dict[tuple[str, dt.date], CitationRecord] = {}
     rounds: dict[str, set[int]] = {}
     reviewing: list[int] = []  # positions of assignments and reports
 
@@ -282,10 +282,9 @@ def _walk(events: list[ReviewEvent]):
             if pid not in decisions:
                 errors.append(LogError(
                     pos, f"citation record for paper {pid} before any terminal decision"))
-            else:
-                current = citations.get(pid)
-                if current is None or ev.date >= current.date:
-                    citations[pid] = ev
+            elif cited.setdefault((pid, ev.date), ev) != ev:
+                errors.append(LogError(
+                    pos, f"conflicting citation records for paper {pid} dated {ev.date}"))
             continue
         rounds.setdefault(pid, set()).add(ev.round)
         if ev.date < sub.date:
@@ -318,6 +317,8 @@ def _walk(events: list[ReviewEvent]):
         if max(seen) != len(seen):
             errors.append(LogError(
                 0, f"paper {pid}: rounds {sorted(seen)} are not contiguous from 1"))
+    # each paper's latest citation record: the last of its (paper, date) keys
+    citations = {pid: ev for (pid, _), ev in sorted(cited.items())}
     return errors, submissions, assignments, reports, decisions, citations
 
 
@@ -325,9 +326,11 @@ def validate_events(events: list[ReviewEvent]) -> list[LogError]:
     """Check the cross-event invariants of a parsed log.
 
     Besides identity and round rules, no assignment, report or decision may
-    predate its paper's submission, and no assignment or report may postdate
-    the paper's terminal decision.  Positions in the returned diagnostics are
-    1-based indexes into ``events``.
+    predate its paper's submission, no assignment or report may postdate
+    the paper's terminal decision, and two citation records of one paper with
+    the same date must be equal, so that the one kept does not depend on line
+    order.  Positions in the returned diagnostics are 1-based indexes into
+    ``events``.
     """
     return _walk(events)[0]
 

@@ -19,17 +19,20 @@ Every history-derived entry uses events strictly before the paper's
 submission date; undefined entries stay NaN with a parallel missing mask.
 Imputation happens at model time, never here.  A word is a token of
 ``text_metrics.tokenize``.
+
+Every mean here and in ``analysis`` is :func:`mean`: the exactly rounded sum
+(``math.fsum``) over the count, so a mean has the same bits in any order of
+its values, and so of the log's lines.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import math
 import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import reduce
 from itertools import chain
-from operator import add
 from statistics import NormalDist
 from typing import Optional
 
@@ -44,6 +47,7 @@ from .text_metrics import Lexicon, sentiment_score, tokenize
 FEATURE_NAMES = ("Deg", "BC", "CC", "Clus", "PR", "RR", "TS", "RL", "SNT",
                  "AR", "AP", "RAC", "TA", "DR")
 NETWORK_FEATURES = ("Deg", "BC", "CC", "Clus", "PR")
+SUPPORTING_FEATURES = FEATURE_NAMES[5:]  # the columns of supporting_features
 
 _NORMAL = NormalDist()
 
@@ -98,35 +102,30 @@ def network_features(paper_id: str, corpus: Corpus,
     n = len(index)
     if n == 0:
         return np.full(5, np.nan)
-    rows = np.zeros((len(reviewers), 5))
-    for k, rid in enumerate(reviewers):
+    rows = []
+    for rid in reviewers:
         i = index.get(rid)
         if i is None:
-            rows[k] = (0.0, 0.0, 0.0, 0.0, 1.0 / n)
+            rows.append((0.0, 0.0, 0.0, 0.0, 1.0 / n))
         else:
-            rows[k] = (table.degree[i], table.betweenness[i], table.closeness[i],
-                       table.clustering[i], table.pagerank[i])
-    return rows.mean(axis=0)
+            rows.append((table.degree[i], table.betweenness[i], table.closeness[i],
+                         table.clustering[i], table.pagerank[i]))
+    return np.array([mean(column) for column in zip(*rows)])
 
 
-def _mean_or_nan(values: list[float]) -> float:
-    """``float(np.mean(values))``, bit for bit; NaN for no values.
+def mean(values) -> float:
+    """``math.fsum(values) / len(values)``, NaN for no values.
 
-    NumPy sums fewer than 8 values left to right from 0.0, so a plain
-    left-to-right sum of a short list gives its bits without the per-call
-    NumPy overhead.  From 8 values on NumPy uses 8 accumulators, so those
-    lists go to ``np.mean``.  ``sum()`` is not used: from Python 3.12 it
-    compensates float rounding.
+    The sum is exactly rounded, so the mean does not depend on the order of
+    ``values``.  Every averaged quantity is bounded, so the sum cannot
+    overflow.
     """
-    if not values:
-        return float("nan")
-    if len(values) < 8:
-        return reduce(add, values, 0.0) / len(values)
-    return float(np.mean(values))
+    return math.fsum(values) / len(values) if values else float("nan")
 
 
 def supporting_features(paper_id: str, corpus: Corpus, lexicon: Lexicon) -> np.ndarray:
-    """(RR, TS, RL, SNT, AR, AP, RAC, TA, DR) for one paper."""
+    """The ``SUPPORTING_FEATURES`` (RR, TS, RL, SNT, AR, AP, RAC, TA, DR) of
+    one paper."""
     sub = corpus.submissions[paper_id]
     as_of = sub.date
     reports = corpus.reports.get(paper_id, [])
@@ -135,12 +134,12 @@ def supporting_features(paper_id: str, corpus: Corpus, lexicon: Lexicon) -> np.n
     rr = float(max((r.round for r in reports), default=0)) if reports else float("nan")
     ts = float(len(sub.author_ids))
     tokens = [tokenize(r.text) for r in first_round]
-    rl = _mean_or_nan([float(len(t)) for t in tokens])
-    snt = _mean_or_nan([sentiment_score(t, lexicon) for t in tokens])
+    rl = mean([float(len(t)) for t in tokens])
+    snt = mean([sentiment_score(t, lexicon) for t in tokens])
 
     profiles = [corpus.author_profile(a, as_of) for a in sub.author_ids]
-    ar = _mean_or_nan([p.acceptance_ratio for p in profiles
-                       if p.acceptance_ratio is not None])
+    ar = mean([p.acceptance_ratio for p in profiles
+               if p.acceptance_ratio is not None])
 
     ap_gap = profiles[0].mean_inter_submission_gap
     ap = float(ap_gap) if ap_gap is not None else float("nan")
@@ -154,19 +153,19 @@ def supporting_features(paper_id: str, corpus: Corpus, lexicon: Lexicon) -> np.n
             rac_vals.append(prof.accept_ratio)
         if prof.last_assignment_date is not None:
             ta_vals.append(float((as_of - prof.last_assignment_date).days))
-    rac = _mean_or_nan(rac_vals)
-    ta = _mean_or_nan(ta_vals)
+    rac = mean(rac_vals)
+    ta = mean(ta_vals)
 
     delays = []
-    first_assign = {}
+    first_assign = {}  # each reviewer's earliest round-1 assignment
     for a in corpus.assignments.get(paper_id, []):
-        if a.round == 1 and a.reviewer_id not in first_assign:
+        if a.round == 1 and a.date < first_assign.get(a.reviewer_id, dt.date.max):
             first_assign[a.reviewer_id] = a.date
     for r in first_round:
         start = first_assign.get(r.reviewer_id)
         if start is not None:
             delays.append(float((r.date - start).days))
-    dr = _mean_or_nan(delays)
+    dr = mean(delays)
 
     return np.array([rr, ts, rl, snt, ar, ap, rac, ta, dr])
 

@@ -25,6 +25,7 @@ import random
 import re
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -308,6 +309,7 @@ def reference_validate_events(events):
     errors = []
     submission = {}
     decided = {}
+    citations = []
     rounds = {}
     reviewing = []
 
@@ -327,6 +329,11 @@ def reference_validate_events(events):
             if pid not in decided:
                 errors.append(LogError(
                     pos, f"citation record for paper {pid} before any terminal decision"))
+            elif any(c.paper_id == pid and c.date == ev.date and c != ev for c in citations):
+                errors.append(LogError(
+                    pos, f"conflicting citation records for paper {pid} dated {ev.date}"))
+            else:
+                citations.append(ev)
             continue
         rounds.setdefault(pid, set()).add(ev.round)
         if ev.date < submission[pid].date:
@@ -505,13 +512,15 @@ def reference_category_percentages(text: str, lexicon: Lexicon) -> dict[str, flo
 
 
 def _reference_mean_or_nan(values: list[float]) -> float:
-    return float(np.mean(values)) if values else float("nan")
+    """The exact rational sum, rounded once to a float, over the count."""
+    return float(sum(map(Fraction, values))) / len(values) if values else float("nan")
 
 
 def reference_supporting_features(paper_id: str, corpus: Corpus,
                                   lexicon: Lexicon) -> np.ndarray:
     """``features.supporting_features`` with the regex tokenizer, two-pass
-    sentiment counts and ``np.mean`` for every mean."""
+    sentiment counts, a rational sum for every mean and DR from each
+    reviewer's earliest round-1 assignment."""
     sub = corpus.submissions[paper_id]
     as_of = sub.date
     reports = corpus.reports.get(paper_id, [])
@@ -544,14 +553,11 @@ def reference_supporting_features(paper_id: str, corpus: Corpus,
     ta = _reference_mean_or_nan(ta_vals)
 
     delays = []
-    first_assign = {}
-    for a in corpus.assignments.get(paper_id, []):
-        if a.round == 1 and a.reviewer_id not in first_assign:
-            first_assign[a.reviewer_id] = a.date
     for r in first_round:
-        start = first_assign.get(r.reviewer_id)
-        if start is not None:
-            delays.append(float((r.date - start).days))
+        starts = [a.date for a in corpus.assignments.get(paper_id, [])
+                  if a.round == 1 and a.reviewer_id == r.reviewer_id]
+        if starts:
+            delays.append(float((r.date - min(starts)).days))
     dr = _reference_mean_or_nan(delays)
 
     return np.array([rr, ts, rl, snt, ar, ap, rac, ta, dr])
@@ -560,7 +566,10 @@ def reference_supporting_features(paper_id: str, corpus: Corpus,
 def reference_irregular_cases(corpus: Corpus, exposure_cutoff_year: int):
     """Rescan form of ``analysis.irregular_cases``: each flagged paper's
     authors and reviewers profiled again and their ratios and first-round
-    report lengths averaged with ``np.mean``."""
+    report lengths averaged by ``_reference_mean_or_nan``."""
+    def mean_or_none(values):
+        return _reference_mean_or_nan(values) if values else None
+
     high_rejected: list[IrregularCase] = []
     low_accepted: list[IrregularCase] = []
     for pid in corpus.paper_ids():
@@ -589,11 +598,10 @@ def reference_irregular_cases(corpus: Corpus, exposure_cutoff_year: int):
             outcome=outcome,
             citations=cites,
             decision_year=year,
-            author_acceptance_ratio=float(np.mean(author_ratios)) if author_ratios else None,
-            reviewer_accept_ratio=float(np.mean(reviewer_ratios)) if reviewer_ratios else None,
-            first_round_report_length=(float(np.mean([len(reference_tokenize(r.text))
-                                                      for r in first_round]))
-                                       if first_round else None),
+            author_acceptance_ratio=mean_or_none(author_ratios),
+            reviewer_accept_ratio=mean_or_none(reviewer_ratios),
+            first_round_report_length=mean_or_none([len(reference_tokenize(r.text))
+                                                    for r in first_round]),
         )
         (high_rejected if outcome == "reject" else low_accepted).append(case)
     return high_rejected, low_accepted

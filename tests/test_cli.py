@@ -585,6 +585,23 @@ def test_undecodable_byte_fails_validation_naming_the_line(tmp_path, capsys, com
     assert "line 4: not valid UTF-8" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [["validate"],
+                                     ["features", "{out}", "--year-from", "2010",
+                                      "--year-to", "2011"]],
+                         ids=["validate", "features"])
+def test_conflicting_citation_records_fail_validation(tmp_path, capsys, command):
+    log = tmp_path / "events.jsonl"
+    events = small_log(log)
+    record = events[9]
+    assert record.paper_id == "p1" and record.cumulative_citations == 5
+    write_events(events + [record._replace(cumulative_citations=6)], log)
+    argv = [arg.format(out=tmp_path / "out") for arg in command]
+    code, _, err = run(capsys, argv[0], str(log), *argv[1:])
+    assert code == EXIT_VALIDATION, err
+    assert f"line 16: conflicting citation records for paper p1 dated {record.date}" in err
+    assert "Traceback" not in err
+
+
 @pytest.fixture
 def inputs_dir(tmp_path, monkeypatch):
     """A config named ``c.tmp`` (the temp file of an output ``c``), a log (also

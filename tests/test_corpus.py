@@ -238,6 +238,21 @@ def test_latest_citation_record_wins():
     events.append(CitationRecord("p1", D(2012, 12, 31), 5, 2012))
     events.append(CitationRecord("p1", D(2014, 12, 31), 11, 2014))
     assert Corpus(events).citations("p1") == 11
+    events[-2:] = events[-2:][::-1]  # the later record first
+    assert Corpus(events).citations("p1") == 11
+
+
+@pytest.mark.parametrize("change", [{"cumulative_citations": 5}, {"as_of_year": 2014}],
+                         ids=["count", "as_of_year"])
+def test_conflicting_citation_records_of_one_date_are_rejected(change):
+    events = minimal_paper("p1", D(2010, 1, 1), citations=17, as_of_year=2013)
+    other = events[-1]._replace(**change)
+    for tail in ([events[-1], other], [other, events[-1]]):
+        errors = validate_events(events[:-1] + tail)
+        assert [(e.line, e.message) for e in errors] == \
+            [(6, f"conflicting citation records for paper p1 dated {other.date}")]
+    # an exact repeat is no conflict
+    assert Corpus(events + [events[-1]]).citations("p1") == 17
 
 
 def build_history_corpus():

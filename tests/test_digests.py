@@ -5,9 +5,10 @@ benchmark corpus at two seeds, and at one seed with six years instead of
 three, so that the LQI contrast and the irregular-case lists have rows.  The
 SHA-256 of the event log,
 ``features.csv``, ``features.csv.missing`` and every analysis CSV must equal
-the digests committed in ``digests.json``.  Models and predictions are left
-out: their bytes drift with the BLAS kernel.  A change that alters these
-bytes on purpose rewrites the file with
+the digests committed in ``digests.json``, and every output but the log must
+keep its digest when the log is reordered within validity.  Models and
+predictions are left out: their bytes drift with the BLAS kernel.  A change
+that alters these bytes on purpose rewrites the file with
 ``PYTHONPATH=src python tests/test_digests.py`` and declares each changed
 digest.
 """
@@ -32,14 +33,37 @@ CASES = {"3": (3, {}), "6": (6, {}), "6/n_years=6": (6, {"n_years": 6})}
 WINDOW = ("2008", "2009")  # the tiny workload's publication years
 
 
-def pipeline_digests(root: Path, seed: int, overrides: dict) -> dict[str, str]:
-    """Run the pipeline under ``root``; SHA-256 per output, keyed by path."""
+def reorder(log: Path) -> None:
+    """Rewrite ``log`` in another valid order: its lines stably sorted by
+    date, then the lines of each (paper, type, round) group reversed in
+    place."""
+    lines = sorted(log.read_text(encoding="utf-8").splitlines(keepends=True),
+                   key=lambda line: json.loads(line)["date"])
+    groups: dict[tuple, list[int]] = {}
+    for i, line in enumerate(lines):
+        record = json.loads(line)
+        groups.setdefault((record["paper_id"], record["type"], record.get("round")),
+                          []).append(i)
+    reordered = list(lines)
+    for positions in groups.values():
+        for i, j in zip(positions, reversed(positions)):
+            reordered[i] = lines[j]
+    log.write_text("".join(reordered), encoding="utf-8")
+
+
+def pipeline_digests(root: Path, seed: int, overrides: dict,
+                     reordered: bool = False) -> dict[str, str]:
+    """Run the pipeline under ``root``, on the generated log or on it
+    reordered; SHA-256 per output, keyed by path."""
+    root.mkdir(exist_ok=True)
     config = root / "config.json"
     config.write_text(json.dumps({**benchmark_configs()["tiny"], **overrides}),
                       encoding="utf-8")
     log = root / "events.jsonl"
-    for argv in (["generate", str(log), "--config", str(config), "--seed", str(seed)],
-                 ["validate", str(log)],
+    assert main(["generate", str(log), "--config", str(config), "--seed", str(seed)]) == 0
+    if reordered:
+        reorder(log)
+    for argv in (["validate", str(log)],
                  ["features", str(log), str(root / "features"),
                   "--year-from", WINDOW[0], "--year-to", WINDOW[1]],
                  ["analyze", str(log), str(root / "analysis")]):
@@ -54,11 +78,14 @@ def pipeline_digests(root: Path, seed: int, overrides: dict) -> dict[str, str]:
 @pytest.mark.parametrize("case", CASES)
 def test_outputs_match_the_committed_digests(tmp_path, case):
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))[case]
-    actual = pipeline_digests(tmp_path, *CASES[case])
+    actual = pipeline_digests(tmp_path / "generated", *CASES[case])
     mismatches = [f"{name}: expected {expected.get(name)}, got {actual.get(name)}"
                   for name in sorted(expected.keys() | actual.keys())
                   if expected.get(name) != actual.get(name)]
     assert not mismatches, "\n".join(mismatches)
+    reordered = pipeline_digests(tmp_path / "reordered", *CASES[case], reordered=True)
+    assert reordered.pop("events.jsonl") != actual.pop("events.jsonl")
+    assert reordered == actual
 
 
 @pytest.mark.parametrize("measure", centrality.MEASURES)

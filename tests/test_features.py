@@ -1,8 +1,7 @@
 import datetime as dt
+import itertools
 import math
 import random
-from functools import reduce
-from operator import add
 
 import numpy as np
 import pytest
@@ -246,31 +245,26 @@ def test_supporting_features_missing_values(lexicon):
     assert all(math.isnan(v) for v in (rr, rl, snt, ar, ap, rac, ta, dr))
 
 
-def test_mean_or_nan_is_numpy_mean_bit_for_bit():
-    """Lengths 0-300 cross NumPy's 8-value (unrolled) and 128-value
-    (pairwise block) summation boundaries."""
+def test_mean_has_the_same_bits_in_any_order():
+    """0.1 + 0.2 + 0.3 rounds to 0.6000000000000001 left to right and to 0.6
+    from the right; lengths 1-300 cross NumPy's 8-value and 128-value
+    summation boundaries."""
+    assert math.isnan(features.mean([]))
     rng = random.Random(5)
-    specials = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
-                1.7976931348623157e308, -1.7976931348623157e308, 1e308)
-
-    def value():
-        if rng.random() < 0.3:
-            return rng.choice(specials)
-        return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-12, 12)
-
-    assert math.isnan(features._mean_or_nan([]))
-    lists = [[-0.0] * n for n in (1, 2, 7, 8, 9)]
-    lists += [[1e308] * n for n in (2, 7, 8)]  # the sum overflows to inf
-    lists += [[value() for _ in range(n)] for n in range(1, 301) for _ in range(20)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for values in lists:
-            got = features._mean_or_nan(values)
-            assert np.float64(got).tobytes() == np.float64(np.mean(values)).tobytes(), values
+    lists = [[0.1, 0.2, 0.3]]
+    lists += [[rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-12, 12) for _ in range(n)]
+              for n in range(1, 301, 7) for _ in range(5)]
+    for values in lists:
+        orders = (itertools.permutations(values) if len(values) <= 3
+                  else (rng.sample(values, len(values)) for _ in range(4)))
+        expected = np.float64(math.fsum(values) / len(values)).tobytes()
+        for order in orders:
+            assert np.float64(features.mean(list(order))).tobytes() == expected, values
 
 
 def test_nine_author_paper_gives_the_reference_bytes(lexicon):
-    """Nine author ratios take NumPy's 8-accumulator sum, which a plain
-    left-to-right sum of these values misses in the last bit."""
+    """Nine author ratios whose exactly rounded mean differs in the last bit
+    from NumPy's 8-accumulator sum."""
     history = ((2, 5), (3, 1), (1, 6), (1, 2), (3, 2), (2, 3), (1, 4), (5, 2), (2, 1))
     events = []
     day = D(2008, 1, 1)
@@ -288,10 +282,36 @@ def test_nine_author_paper_gives_the_reference_bytes(lexicon):
     ]
     corpus = Corpus(events)
     ratios = [a / (a + r) for a, r in history]
-    assert reduce(add, ratios, 0.0) / 9 != np.mean(ratios)  # the case is sharp
+    assert math.fsum(ratios) / 9 != np.mean(ratios)  # the case is sharp
     got = supporting_features("pX", corpus, lexicon)
-    assert np.float64(got[4]).tobytes() == np.float64(np.mean(ratios)).tobytes()
+    assert np.float64(got[4]).tobytes() == np.float64(math.fsum(ratios) / 9).tobytes()
     assert got.tobytes() == reference_supporting_features("pX", corpus, lexicon).tobytes()
+
+
+def test_report_order_does_not_change_the_supporting_features(lexicon):
+    """Sentiments 1/10, 2/10 and 3/10 sum to 0.6000000000000001 or 0.6
+    left to right, depending on their order."""
+    head = [Submission("pX", D(2010, 1, 5), ("a1",), "probe")]
+    head += [Assignment("pX", D(2010, 1, 10), "e1", f"r{k}", 1) for k in (1, 2, 3)]
+    reports = [Report("pX", D(2010, 2, 20), f"r{k}", 1,
+                      " ".join(["good"] * k + ["the"] * (10 - k)), "accept")
+               for k in (1, 2, 3)]
+    tail = [Decision("pX", D(2010, 3, 1), "accept", 1)]
+    snt = supporting_features("pX", Corpus(head + reports + tail), lexicon)[3]
+    assert snt == math.fsum([0.1, 0.2, 0.3]) / 3
+    got = {supporting_features("pX", Corpus(head + list(order) + tail), lexicon).tobytes()
+           for order in itertools.permutations(reports)}
+    assert len(got) == 1
+
+
+def test_report_delay_counts_from_the_earliest_round_one_assignment(lexicon):
+    sub = Submission("p1", D(2010, 1, 5), ("a1",), "probe")
+    assigned = [Assignment("p1", D(2010, 1, day), "e1", "r1", 1) for day in (10, 20)]
+    rest = [Report("p1", D(2010, 2, 20), "r1", 1, "good", "accept"),
+            Decision("p1", D(2010, 2, 25), "accept", 1)]
+    for order in (assigned, assigned[::-1]):
+        dr = supporting_features("p1", Corpus([sub, *order, *rest]), lexicon)[8]
+        assert dr == 41.0  # 2010-01-10 to 2010-02-20
 
 
 def test_feature_vector_shape_and_mask(lexicon):

@@ -147,7 +147,8 @@ def test_read_log_names_the_line_of_an_undecodable_byte(tmp_path):
 @st.composite
 def faulty_logs(draw):
     """Events of a few papers with duplicated events, dropped submissions,
-    moved dates and changed rounds, shuffled or in paper order."""
+    moved dates, changed rounds and recounted citation records, shuffled or
+    in paper order."""
     events = []
     for k in range(draw(st.integers(1, 4))):
         outcome = draw(st.sampled_from(["accept", "reject", "withdraw"]))
@@ -158,7 +159,7 @@ def faulty_logs(draw):
             citations=draw(st.none() | st.integers(0, 9)))
     for _ in range(draw(st.integers(0, 4))):
         i = draw(st.integers(0, len(events) - 1))
-        fault = draw(st.sampled_from(["duplicate", "orphan", "date", "round"]))
+        fault = draw(st.sampled_from(["duplicate", "orphan", "date", "round", "recount"]))
         ev = events[i]
         if fault == "duplicate":
             events.append(ev)
@@ -169,6 +170,8 @@ def faulty_logs(draw):
             events[i] = ev._replace(date=ev.date + shift)
         elif fault == "round" and not isinstance(ev, (Submission, CitationRecord)):
             events[i] = ev._replace(round=draw(st.integers(1, 3)))
+        elif fault == "recount" and isinstance(ev, CitationRecord):
+            events.append(ev._replace(cumulative_citations=draw(st.integers(0, 9))))
     if draw(st.booleans()):
         draw(st.randoms(use_true_random=False)).shuffle(events)
     return events
@@ -198,12 +201,13 @@ def test_validate_events_matches_the_reference_on_every_fault_at_once():
         *p1[2:], p1[0], p1[3],  # duplicate submission and decision
         p2[0], CitationRecord("p2", dt.date(2011, 1, 1), 1, 2011),  # undecided
         p2[1]._replace(round=3), *p2[2:],  # rounds 1 and 3
+        p1[4]._replace(cumulative_citations=4),  # same date, another count
     ]
     errors = validate_events(events)
     for fragment in ("without prior submission", "before its submission",
                      "duplicate submission", "duplicate terminal decision",
                      "before any terminal decision", "after its terminal decision",
-                     "not contiguous"):
+                     "not contiguous", "conflicting citation records"):
         assert sum(fragment in e.message for e in errors) == 1, fragment
     assert errors == reference_validate_events(events)
     for order in range(5):

@@ -14,9 +14,11 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from . import centrality
 from .corpus import Corpus
-from .features import SUPPORTING_FEATURES, mean, supporting_features
+from .features import SUPPORTING_COLUMN, mean, supporting_features
 from .outputs import csv_line, write_lines
 from .review_graph import build_graph
 from .text_metrics import CATEGORIES, Lexicon, category_percentages, tokenize
@@ -115,7 +117,7 @@ def quartile_contrast(metric_by_reviewer: dict[str, float],
 # -- per-paper records, summaries and irregular cases -------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PaperRecord:
     """One accepted or rejected paper, as every analysis reads it."""
 
@@ -125,7 +127,11 @@ class PaperRecord:
     citations: Optional[int]  # None without a citation record
     rounds: int  # RR, 0 when the paper has no report
     team_size: int
-    features: dict[str, float]  # supporting_features by name, NaN where undefined
+    features: np.ndarray  # supporting_features, NaN where undefined
+
+    def feature(self, name: str) -> float:
+        """The supporting feature ``name``, NaN where undefined."""
+        return self.features.item(SUPPORTING_COLUMN[name])
 
 
 def paper_records(corpus: Corpus, lexicon: Lexicon) -> list[PaperRecord]:
@@ -135,11 +141,11 @@ def paper_records(corpus: Corpus, lexicon: Lexicon) -> list[PaperRecord]:
         dec = corpus.decisions.get(pid)
         if dec is None or dec.outcome not in ("accept", "reject"):
             continue
-        feats = dict(zip(SUPPORTING_FEATURES,
-                         supporting_features(pid, corpus, lexicon).tolist()))
+        feats = supporting_features(pid, corpus, lexicon)
+        rr = feats[SUPPORTING_COLUMN["RR"]]
         records.append(PaperRecord(
             pid, dec.outcome, dec.date.year, corpus.citations(pid),
-            0 if math.isnan(feats["RR"]) else int(feats["RR"]), int(feats["TS"]), feats))
+            0 if math.isnan(rr) else int(rr), int(feats[SUPPORTING_COLUMN["TS"]]), feats))
     return records
 
 
@@ -201,7 +207,7 @@ def irregular_cases(records: Sequence[PaperRecord], exposure_cutoff_year: int):
             cases = low_accepted
         else:
             continue
-        rl, ar, rac = (None if math.isnan(rec.features[f]) else rec.features[f]
+        rl, ar, rac = (None if math.isnan(rec.feature(f)) else rec.feature(f)
                        for f in ("RL", "AR", "RAC"))
         cases.append(IrregularCase(rec.paper_id, rec.outcome, cites, rec.decision_year,
                                    ar, rac, rl))
@@ -300,7 +306,7 @@ def run_all(corpus: Corpus, lexicon: Lexicon, out_dir,
     def bucketed(feature, width, name, label):
         vals, keys = [], []
         for r in accepted:
-            v = r.features[feature]
+            v = r.feature(feature)
             if not math.isnan(v):
                 vals.append(r.citations)
                 keys.append(bucket_fixed_width(v, width))
@@ -318,8 +324,8 @@ def run_all(corpus: Corpus, lexicon: Lexicon, out_dir,
                           ("RAC", "reviewer_accept_ratio_buckets")):
         panels: dict[int, list[tuple[int, int, float]]] = {}
         for r in accepted:
-            ratio = r.features[feature]
-            snt = r.features["SNT"]
+            ratio = r.feature(feature)
+            snt = r.feature("SNT")
             if math.isnan(ratio):
                 continue
             panels.setdefault(bucket_ratio_decile(ratio), []).append(
@@ -331,7 +337,7 @@ def run_all(corpus: Corpus, lexicon: Lexicon, out_dir,
 
     # sentiment vs citations, one point per paper, grouped by decision year
     rows = [[r.decision_year, r.paper_id, r.outcome,
-             "" if math.isnan(r.features["SNT"]) else r.features["SNT"], r.citations]
+             "" if math.isnan(r.feature("SNT")) else r.feature("SNT"), r.citations]
             for r in cited]
     rows.sort(key=lambda row: row[:2])
     emit("sentiment_by_year", ["year", "paper_id", "outcome", "sentiment", "citations"],

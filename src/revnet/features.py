@@ -48,6 +48,8 @@ FEATURE_NAMES = ("Deg", "BC", "CC", "Clus", "PR", "RR", "TS", "RL", "SNT",
                  "AR", "AP", "RAC", "TA", "DR")
 NETWORK_FEATURES = ("Deg", "BC", "CC", "Clus", "PR")
 SUPPORTING_FEATURES = FEATURE_NAMES[5:]  # the columns of supporting_features
+# each supporting feature's column in supporting_features, to read it by name
+SUPPORTING_COLUMN = {name: i for i, name in enumerate(SUPPORTING_FEATURES)}
 
 _NORMAL = NormalDist()
 

@@ -97,8 +97,10 @@ class SvrModel:
         sv, coefs, gamma = self.support_vectors, self.dual_coefs, self.config.gamma
         out = np.full(len(Z), self.bias)
         for lo in range(0, len(Z), _RBF_BLOCK):
+            Kb = _rbf(Z[lo:lo + _RBF_BLOCK], sv, gamma)
             out[lo:lo + _RBF_BLOCK] += np.add.reduce(
-                _rbf(Z[lo:lo + _RBF_BLOCK], sv, gamma) * coefs, axis=1)
+                np.multiply(Kb, coefs, out=Kb), axis=1)
+            del Kb  # freed before the next block's kernel is built
         return out
 
 
@@ -124,17 +126,48 @@ _RBF_BLOCK = 64
 def _rbf(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     """exp(-gamma |a_i - b_j|^2) for the rows of ``A`` and ``B``, summed a column
     at a time by elementwise operations and no BLAS: an entry depends on its two
-    rows alone, and ``_rbf(Z, Z, gamma)`` is exactly symmetric with diagonal 1."""
-    K = np.zeros((len(A), len(B)))
+    rows alone, and ``_rbf(Z, Z, gamma)`` is exactly symmetric with diagonal 1.
+
+    Each block of rows of ``A`` is summed in a contiguous scratch, the first
+    column's squares written straight into it: the block's own rows of the
+    result when they are whole, else one buffer reused for every block.
+    For ``A is B`` a block holds only the columns on and right of its
+    diagonal, and its transpose fills the rows below it: (a - b)^2 and
+    (b - a)^2 are the same float, so each mirrored entry keeps its bits.
+    """
+    if A.shape[1] == 0:
+        return np.ones((len(A), len(B)))  # exp(-gamma * 0)
+    symmetric = A is B
+    # the columns as contiguous rows, so that each copy below reads a run
+    AT = np.ascontiguousarray(A.T)
+    BT = AT if symmetric else np.ascontiguousarray(B.T)
+    K = np.empty((len(A), len(B)))
+    size = min(len(A), _RBF_BLOCK) * len(B)
+    d_buf = np.empty(size)
+    acc_buf = np.empty(size) if symmetric else None
     for lo in range(0, len(A), _RBF_BLOCK):
-        block = K[lo:lo + _RBF_BLOCK]
-        d = np.empty_like(block)
-        for a, b in zip(A[lo:lo + _RBF_BLOCK].T, B.T):
-            np.subtract(a[:, None], b, out=d)
-            np.multiply(d, d, out=d)
-            block += d
-    np.multiply(K, -gamma, out=K)
-    return np.exp(K, out=K)
+        hi = min(lo + _RBF_BLOCK, len(A))
+        start = lo if symmetric else 0
+        shape = (hi - lo, len(B) - start)
+        d = d_buf[:shape[0] * shape[1]].reshape(shape)
+        acc = acc_buf[:d.size].reshape(shape) if start else K[lo:hi]
+        for c, (a, b) in enumerate(zip(AT[:, lo:hi], BT[:, start:])):
+            # copy, then subtract: faster in NumPy than a subtract of two
+            # broadcast operands; and a contiguous add is faster than an
+            # add into a strided view of K
+            s = d if c else acc
+            s[...] = b
+            s -= a[:, None]
+            s *= s
+            if c:
+                acc += d
+        np.multiply(acc, -gamma, out=acc)
+        np.exp(acc, out=acc)
+        if start:
+            K[lo:hi, start:] = acc
+        if symmetric:
+            K[hi:, lo:hi] = acc[:, hi - lo:].T
+    return K
 
 
 # the exact finish: first tried once the SMO gap falls below _FINISH_GAP;
@@ -437,7 +470,10 @@ def _solve_smo(K: np.ndarray, y: np.ndarray, config: SvrConfig,
         np.square(obj, out=obj)
         a_i = curvature.get(i)
         if a_i is None:
-            a_i = curvature[i] = np.maximum(2.0 - 2.0 * K[i], 1e-12)
+            # 2 + (-2 k) is 2 - 2 k in IEEE arithmetic; one buffer per row
+            a_i = curvature[i] = np.multiply(K[i], -2.0)
+            a_i += 2.0
+            np.maximum(a_i, 1e-12, out=a_i)
         np.divide(obj_p, a_i, out=obj_p)
         np.divide(obj_m, a_i, out=obj_m)
         vj = int(obj.argmax())

@@ -1,5 +1,6 @@
 import datetime as dt
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from revnet.analysis import (ANALYSES, HIGH_CITED_REJECTED_MIN,
                              summary_table)
 from revnet.corpus import (Assignment, CitationRecord, Corpus, Decision,
                            Report, Submission)
+from revnet.features import SUPPORTING_FEATURES, supporting_features
 from revnet.synth import SynthConfig, generate
 
 from helpers import (benchmark_configs, minimal_paper,
@@ -162,6 +164,21 @@ def test_irregular_cases_respect_cutoff(lexicon):
     records = paper_records(irregular_corpus(), lexicon)
     high, low = irregular_cases(records, exposure_cutoff_year=2009)
     assert high == [] and low == []
+
+
+def test_paper_record_reads_its_supporting_features_by_name(lexicon):
+    corpus = irregular_corpus()
+    records = paper_records(corpus, lexicon)
+    assert records
+    for rec in records:
+        # the array supporting_features returns, not a per-record dict
+        assert isinstance(rec.features, np.ndarray) and rec.features.shape == (9,)
+        values = supporting_features(rec.paper_id, corpus, lexicon).tolist()
+        for name, value in zip(SUPPORTING_FEATURES, values):
+            got = rec.feature(name)
+            assert type(got) is float
+            assert got == value or (math.isnan(got) and math.isnan(value)), name
+        assert rec.team_size == int(rec.feature("TS"))
 
 
 @pytest.mark.parametrize("workload, config", sorted(benchmark_configs().items()))

@@ -557,6 +557,50 @@ def test_rbf_matches_explicit_pairwise_distances(n, m):
         assert (np.diag(K) == 1.0).all()
 
 
+def column_at_a_time_rbf(X, Y, gamma):
+    acc = np.zeros((len(X), len(Y)))
+    for c in range(X.shape[1]):
+        acc += (X[:, c, None] - Y[None, :, c]) ** 2
+    return np.exp(acc * -gamma)
+
+
+@pytest.mark.parametrize("cols", [1, 5, 14])
+@pytest.mark.parametrize("rows", [1, _RBF_BLOCK - 1, _RBF_BLOCK, _RBF_BLOCK + 1,
+                                  2 * _RBF_BLOCK + 3])
+def test_rbf_equals_the_column_at_a_time_formula_byte_for_byte(rows, cols):
+    rng = np.random.default_rng(rows * 100 + cols)
+    X = rng.normal(size=(rows, cols))
+    K = _rbf(X, X, 0.02)
+    assert K.tobytes() == column_at_a_time_rbf(X, X, 0.02).tobytes()
+    assert np.array_equal(K, K.T)
+    assert (np.diag(K) == 1.0).all()
+    # a cross kernel, and a copy of X, which is not X itself
+    Y = rng.normal(size=(_RBF_BLOCK + 5, cols))
+    assert _rbf(X, Y, 0.3).tobytes() == column_at_a_time_rbf(X, Y, 0.3).tobytes()
+    assert _rbf(X, X.copy(), 0.02).tobytes() == K.tobytes()
+
+
+def test_rbf_of_rows_without_columns_is_all_ones():
+    assert _rbf(np.empty((3, 0)), np.empty((2, 0)), 0.5).tolist() == [[1.0] * 2] * 3
+
+
+def test_symmetric_rbf_holds_the_kernel_and_two_blocks_of_scratch():
+    # beyond the kernel: the two block buffers, the transposed columns and
+    # NumPy's iterator buffer for a broadcast operand, plus array headers;
+    # one more l x l temporary would exceed this
+    l = 301
+    Z = np.random.default_rng(19).normal(size=(l, 14))
+    bound = l * l * 8 + 2 * _RBF_BLOCK * l * 8 + Z.nbytes + np.getbufsize() * 8 + 8192
+    assert l * l * 8 > bound - l * l * 8
+    tracemalloc.start()
+    try:
+        _rbf(Z, Z, 0.02)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
 def test_fit_peaks_below_two_kernel_sized_arrays():
     # the kernel plus the curvature rows the solver picks; holding a full
     # l x l curvature matrix next to the kernel would need three
